@@ -7,10 +7,19 @@ and which orders admit them at all.
 
 Two facts carry most of the weight here:
 
-  * the elements whose orbit length divides i are exactly the solutions
-    of (t^i - 1)*a = 0 (mod n), i.e. the multiples of n/gcd(n, t^i - 1);
-  * consequently the number of length-i orbits in Z_n depends on n only
-    through gcd(n, t^i - 1), and is maximal at n = t^i - 1 itself.
+  * the elements whose orbit length divides e are exactly the solutions
+    of (t^e - 1)*a = 0 (mod n), i.e. the multiples of n/gcd(n, t^e - 1),
+    so there are gcd(n, t^e - 1) of them;
+  * Moebius inversion over the divisors of l then counts the length-l
+    orbits without listing them:
+
+        #orbits of length l in Z_n = (1/l) * sum_{e | l} mu(l/e) * gcd(n, t^e - 1).
+
+    The count depends on n only through gcd(n, t^l - 1) and is maximal
+    at n = t^l - 1 itself, where it is the necklace (Lyndon word) count.
+
+Orbits are listed only where the orbits themselves are needed; every
+count goes through orbit_count.
 """
 from __future__ import annotations
 
@@ -152,19 +161,53 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[Orbit]:
     return out
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function mu(m) for m >= 1, by trial division."""
+    sign = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def orbit_count(n: int, ell: int, t: int = 2) -> int:
+    """Number of t-orbits of length exactly ell in Z_n, by Moebius inversion.
+
+    gcd(n, t^e - 1) residues have an orbit length dividing e; inverting
+    over the divisors e of ell leaves the ell * count residues whose
+    length is exactly ell.
+    """
+    if ell < 1:
+        raise ValueError(f"orbit length must be positive, got {ell}")
+    ctx = ModulusContext(n, t)
+    elements = sum(
+        _mobius(ell // e) * gcd(ctx.n, pow(ctx.t, e, ctx.n) - 1) for e in divisors(ell)
+    )
+    return elements // ell
+
+
 @lru_cache(maxsize=None)
 def orbit_count_cap(i: int, t: int) -> int:
     """n-independent upper bound on the number of length-i orbits in Z_n.
 
-    The count in Z_n equals the count in Z_{gcd(n, t^i - 1)}, which is
-    monotone along the divisor lattice of t^i - 1, so the bound is the
-    count in Z_{t^i - 1} itself (and it is attained there).
+    By the Moebius formula the count in Z_n depends on n only through
+    g = gcd(n, t^i - 1), because t^e - 1 divides t^i - 1 for every e | i.
+    Z_g sits inside Z_{t^i - 1} as the t-invariant subgroup of multiples
+    of (t^i - 1)/g, with the same orbit lengths, so the count is largest,
+    and the bound attained, at n = t^i - 1. For i >= 2 that count is the
+    number of aperiodic necklaces of length i over t letters; for i = 1
+    it is t - 1, since Z_{t-1} holds only fixed points.
     """
     if i < 1:
         raise ValueError(f"orbit length must be positive, got {i}")
     if t < 2:
         raise ValueError(f"multiplier base must be at least 2, got {t}")
-    return len(orbits_of_length(ModulusContext(t**i - 1, t), i))
+    return orbit_count(t**i - 1, i, t)
 
 
 def required_divisors(i: int, t: int, orbits_needed: int = 1) -> list[int]:
@@ -179,10 +222,5 @@ def required_divisors(i: int, t: int, orbits_needed: int = 1) -> list[int]:
             f"cannot require {orbits_needed} orbits of length {i}: "
             f"at most {cap} exist for t={t}"
         )
-    m = t**i - 1
-    hits = [
-        d
-        for d in divisors(m)
-        if len(orbits_of_length(ModulusContext(d, t), i)) >= orbits_needed
-    ]
+    hits = [d for d in divisors(t**i - 1) if orbit_count(d, i, t) >= orbits_needed]
     return sorted(d for d in hits if not any(e != d and d % e == 0 for e in hits))

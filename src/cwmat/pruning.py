@@ -136,6 +136,10 @@ def cap_feasible(pair: OlpPair, t: int = 2) -> bool:
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:
     """(|P|, |N|) for a normalized weighing row of the given square weight."""
+    if weight < 0:
+        raise ValueError(
+            f"weight {weight} is negative; it must be a nonnegative perfect square"
+        )
     s = isqrt(weight)
     if s * s != weight:
         raise ValueError(
@@ -161,10 +165,11 @@ def cross_pairs(weight: int, t: int = 2) -> list[OlpPair]:
     order; weight 16, t = 2 gives 5 x 13 = 65 pairs.
     """
     p_size, n_size = describing_set_sizes(weight)
+    p_olps = feasible_partitions(p_size, t)
     return [
         OlpPair(olp_p, olp_n)
         for olp_n in feasible_partitions(n_size, t)
-        for olp_p in feasible_partitions(p_size, t)
+        for olp_p in p_olps
     ]
 
 

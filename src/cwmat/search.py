@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .orbits import ModulusContext, divisors, orbits_of_length, units
+from .orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
 from .pruning import Olp, OlpPair, cross_pairs, describing_set_sizes
 from .rows import (
     CirculantRow,
@@ -185,12 +185,7 @@ def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
     mults = Counter(parts)
     per_length = []
     for ell in sorted(mults):
-        modulus = t**ell - 1
-        choices = [
-            d
-            for d in divisors(modulus)
-            if len(orbits_of_length(ModulusContext(d, t), ell)) >= mults[ell]
-        ]
+        choices = [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= mults[ell]]
         if not choices:
             raise ValueError(f"no modulus hosts {mults[ell]} orbits of length {ell}")
         per_length.append(choices)

@@ -39,8 +39,14 @@ W1_63_N = frozenset({1, 2, 4, 8, 16, 32})
 
 # --- multiplier-2 orbit structure ------------------------------------------
 
-# Max number of orbits of length i under t=2, i = 1..6.
-ORBIT_CAPS_T2 = (1, 1, 2, 3, 6, 9)
+# Max number of orbits of length i under t=2, i = 1..28: the number of
+# binary Lyndon words of length i, OEIS A001037, attained in Z_{2^i - 1}.
+# At i = 1 the value is 1, not OEIS's 2: Z_1 has the single orbit {0}.
+ORBIT_CAPS_T2 = (
+    1, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161,
+    2182, 4080, 7710, 14532, 27594, 52377, 99858, 190557, 364722, 698870,
+    1342176, 2580795, 4971008, 9586395,
+)
 
 # The six length-5 orbits mod 31 in first-element order.
 ORBITS_LEN5_MOD31 = (

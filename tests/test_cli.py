@@ -123,6 +123,33 @@ def test_prune_rejects_non_square_weight(capsys):
     assert "perfect square" in err
 
 
+def test_prune_rejects_negative_weight(capsys):
+    code, out, err = run(capsys, "prune", "-4")
+    assert code == 2
+    assert "weight -4" in err
+    assert "nonnegative perfect square" in err
+    assert out == ""
+    code, out, _ = run(capsys, "prune", "0")
+    assert code == 0
+    assert out.rstrip().endswith("1 -> 1 (existence) -> 1 (counting)")
+
+
+def test_prune_wider_weights(capsys):
+    # Regression references from the seed commit, not independent results.
+    code, out, _ = run(capsys, "prune", "25")
+    assert code == 0
+    assert out.rstrip().endswith("360 -> 72 (existence) -> 13 (counting)")
+    code, out, _ = run(capsys, "prune", "36", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["pairs"]) == 3840
+    assert payload["summary"] == {
+        "pairs": 3840,
+        "existenceSurvivors": 542,
+        "countingSurvivors": 70,
+    }
+
+
 def test_prune_other_square_weight_runs(capsys):
     code, out, _ = run(capsys, "prune", "9")
     assert code == 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cwmat import (
@@ -11,6 +11,7 @@ from cwmat import (
     all_orbits,
     divisors,
     length_table,
+    orbit_count,
     orbit_count_cap,
     orbit_length,
     orbit_of,
@@ -112,8 +113,40 @@ def test_orbits_of_length_examples():
         orbits_of_length(ModulusContext(7, 2), 0)
 
 
+def _enumerated_count(n: int, ell: int, t: int) -> int:
+    """The oracle for orbit_count: list the orbits and count them."""
+    return len(orbits_of_length(ModulusContext(n, t), ell))
+
+
+@pytest.mark.parametrize("t, max_ell", [(2, 12), (3, 6), (5, 4)])
+def test_orbit_count_matches_enumeration_on_divisors(t, max_ell):
+    for ell in range(1, max_ell + 1):
+        for d in divisors(t**ell - 1):
+            for length in range(1, max_ell + 1):
+                expected = _enumerated_count(d, length, t)
+                assert orbit_count(d, length, t) == expected, (d, length, t)
+
+
+@given(
+    st.integers(min_value=0, max_value=1000).map(lambda k: 2 * k + 1),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([2, 3, 5]),
+)
+def test_orbit_count_matches_enumeration(n, ell, t):
+    assume(math.gcd(n, t) == 1)
+    assert orbit_count(n, ell, t) == _enumerated_count(n, ell, t)
+
+
+def test_orbit_count_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="positive"):
+        orbit_count(7, 0)
+    with pytest.raises(ValueError, match="not a unit"):
+        orbit_count(9, 2, 3)
+
+
 def test_orbit_count_caps_for_doubling():
-    assert tuple(orbit_count_cap(i, 2) for i in range(1, 7)) == ORBIT_CAPS_T2
+    lengths = range(1, len(ORBIT_CAPS_T2) + 1)
+    assert tuple(orbit_count_cap(i, 2) for i in lengths) == ORBIT_CAPS_T2
 
 
 def test_orbit_count_cap_other_base():
@@ -132,6 +165,17 @@ def test_cap_bounds_every_modulus(n, i):
 def test_required_divisors_examples():
     for (i, t, count), expected in REQUIRED_DIVISOR_CASES:
         assert required_divisors(i, t, count) == list(expected)
+
+
+def test_required_divisors_agree_with_enumerated_counts(monkeypatch):
+    expected = {
+        (i, count): required_divisors(i, 2, count)
+        for i in range(1, 9)
+        for count in range(1, orbit_count_cap(i, 2) + 1)
+    }
+    monkeypatch.setattr("cwmat.orbits.orbit_count", _enumerated_count)
+    for (i, count), divs in expected.items():
+        assert required_divisors(i, 2, count) == divs
 
 
 def test_required_divisors_rejects_impossible_count():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -106,8 +107,11 @@ def test_describing_set_sizes():
     assert describing_set_sizes(4) == (3, 1)
     assert describing_set_sizes(9) == (6, 3)
     assert describing_set_sizes(1) == (1, 0)
+    assert describing_set_sizes(0) == (0, 0)
     with pytest.raises(ValueError, match="perfect square"):
         describing_set_sizes(15)
+    with pytest.raises(ValueError, match="weight -4 .* nonnegative perfect square"):
+        describing_set_sizes(-4)
 
 
 def test_feasible_partitions_for_weight_16():
@@ -308,6 +312,23 @@ def test_prune_counting_witnesses():
             if hasattr(w, "direction") and w.direction == "delta>delta_bar"
         }
         assert (length, lo, hi) in found
+
+
+# Regression reference, not an independent result: the counts the
+# pipeline gave for W = 49 once the orbit caps stopped enumerating.
+W49_REGRESSION_COUNTS = (47286, 4551, 399)
+
+
+def test_prune_weight_49_completes():
+    """The 60 s budget catches hangs and blow-ups; it is not a performance gate."""
+    start = time.perf_counter()
+    pairs = feasible_pairs(49)
+    existence = survivors(prune(pairs, level="existence"))
+    counting = survivors(prune(pairs))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, f"W = 49 prune took {elapsed:.1f}s, budget 60s"
+    assert set(counting) <= set(existence) <= set(pairs)
+    assert (len(pairs), len(existence), len(counting)) == W49_REGRESSION_COUNTS
 
 
 def test_prune_weight_4_pair_survives():

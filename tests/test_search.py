@@ -16,6 +16,7 @@ from cwmat import (
     classify,
     contract,
     exhaustive_search,
+    feasible_pairs,
     from_sets,
     full_classification,
     lift,
@@ -23,7 +24,7 @@ from cwmat import (
     olp_of_set,
     verify_cw,
 )
-from cwmat.orbits import ModulusContext
+from cwmat.orbits import ModulusContext, orbits_of_length
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -163,6 +164,16 @@ def test_classify_up_to_negation():
 def test_base_orders_examples():
     for (p, n), expected in BASE_ORDER_CASES:
         assert base_orders(_pair(p, n)) == list(expected)
+
+
+def test_base_orders_agree_with_enumerated_counts(monkeypatch):
+    def enumerated_count(n, ell, t):
+        return len(orbits_of_length(ModulusContext(n, t), ell))
+
+    pairs = feasible_pairs(16)
+    expected = [base_orders(q) for q in pairs]
+    monkeypatch.setattr("cwmat.search.orbit_count", enumerated_count)
+    assert [base_orders(q) for q in pairs] == expected
 
 
 def test_base_orders_rejects_large_lengths():
