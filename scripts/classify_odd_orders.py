@@ -11,7 +11,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=105)
     ap.add_argument("--weight", type=int, default=16)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--zeros", action="store_true",
                     help="also print orders with no classes")
     args = ap.parse_args()
@@ -19,7 +18,7 @@ def main() -> None:
     start = time.perf_counter()
     total = 0
     for n in range(1, args.max_n + 1, 2):
-        res = full_classification(args.weight, n, jobs=args.jobs)
+        res = full_classification(args.weight, n)
         total += res.count
         if res.count or args.zeros:
             tag = "  (cross-checked)" if res.cross_checked else ""

@@ -18,14 +18,13 @@ from cwmat import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--weight", type=int, default=16)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     for pair in survivors(prune(feasible_pairs(args.weight))):
         for n in base_orders(pair):
             spec = SearchSpec(n, args.weight, 2, pair)
             start = time.perf_counter()
-            report = exhaustive_search(spec, jobs=args.jobs)
+            report = exhaustive_search(spec)
             elapsed = time.perf_counter() - start
             print(
                 f"n={n:4d} ({pair.p}, {pair.n}): "

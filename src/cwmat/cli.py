@@ -89,7 +89,8 @@ def cmd_verify(args) -> int:
     t = args.multiplier
     payload = _row_payload(row, t)
     mults = []
-    for u in units(row.n):
+    # units(1) is [0]; the identity substitution is t=1 at every order
+    for u in units(row.n) if row.n > 1 else [1]:
         s = multiplier_shift(row, u)
         if s is not None:
             mults.append([u, s])
@@ -177,7 +178,7 @@ def cmd_search(args) -> int:
         spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
     except ValueError as exc:
         return _usage_error(str(exc))
-    report = exhaustive_search(spec, jobs=args.jobs)
+    report = exhaustive_search(spec)
     classes = (
         classify(report.solutions, up_to_negation=True)
         if args.with_negation
@@ -220,7 +221,7 @@ def cmd_classify(args) -> int:
     results = []
     for n in range(1, args.max_n + 1, 2):
         try:
-            res = full_classification(args.weight, n, jobs=args.jobs)
+            res = full_classification(args.weight, n)
         except ValueError as exc:
             return _usage_error(str(exc))
         if res.count:
@@ -283,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("olpP", help="olp of P, e.g. '5^2'")
     p.add_argument("olpN", help="olp of N, e.g. '1^1 5^1'")
     p.add_argument("--multiplier", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--with-negation", action="store_true",
                    help="classify up to sign as well as shift/substitution")
     _output_flags(p)
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="class counts for all odd orders up to a bound")
     p.add_argument("weight", type=int)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     _output_flags(p)
     p.set_defaults(func=cmd_classify)
 

@@ -98,29 +98,15 @@ def orbit_of(a: int, ctx: ModulusContext) -> Orbit:
 
 def orbit_length(a: int, ctx: ModulusContext) -> int:
     """ol(a): the length of the t-orbit through a."""
-    if not 0 <= a < ctx.n:
-        raise ValueError(f"residue {a} out of range for modulus {ctx.n}")
-    length = 1
-    x = a * ctx.t % ctx.n
-    while x != a:
-        length += 1
-        x = x * ctx.t % ctx.n
-    return length
+    return orbit_of(a, ctx).length
 
 
 def length_table(ctx: ModulusContext) -> list[int]:
     """ol(a) for every a in Z_n, computed in one sweep over the orbits."""
     table = [0] * ctx.n
-    for a in range(ctx.n):
-        if table[a]:
-            continue
-        cycle = [a]
-        x = a * ctx.t % ctx.n
-        while x != a:
-            cycle.append(x)
-            x = x * ctx.t % ctx.n
-        for y in cycle:
-            table[y] = len(cycle)
+    for orb in all_orbits(ctx):
+        for y in orb.elements:
+            table[y] = orb.length
     return table
 
 

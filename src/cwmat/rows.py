@@ -30,7 +30,6 @@ _COEFF_TO_CHAR = {-1: "-", 0: "0", 1: "+"}
 
 # Internal comparison alphabet: must be ordered like the coefficients.
 _COEFF_TO_KEY = {-1: "a", 0: "b", 1: "c"}
-_KEY_TO_COEFF = {"a": -1, "b": 0, "c": 1}
 
 
 @dataclass(frozen=True)
@@ -159,21 +158,22 @@ def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> Circulant
     return CirculantRow(n, tuple(out))
 
 
-def _key(row: CirculantRow) -> str:
-    return "".join(_COEFF_TO_KEY[c] for c in row.coeffs)
-
-
-def _row_from_key(key: str) -> CirculantRow:
-    return CirculantRow(len(key), tuple(_KEY_TO_COEFF[ch] for ch in key))
-
-
 def sort_key(row: CirculantRow) -> str:
     """String whose lexicographic order matches the row order.
 
     ASCII order of '-', '0', '+' does not match -1 < 0 < +1, so sorting
     must go through this key, not to_string().
     """
-    return _key(row)
+    return "".join(_COEFF_TO_KEY[c] for c in row.coeffs)
+
+
+def _image_key(row: CirculantRow, t: int) -> str:
+    """sort_key(row(x^t)), written from the support: entry i goes to t*i mod n."""
+    n = row.n
+    out = [_COEFF_TO_KEY[0]] * n
+    for i in row.support:
+        out[t * i % n] = _COEFF_TO_KEY[row.coeffs[i]]
+    return "".join(out)
 
 
 def _shift_matches(base_key: str, target_key: str) -> list[int]:
@@ -198,8 +198,7 @@ def multiplier_shift(row: CirculantRow, t: int) -> int | None:
     n = row.n
     if gcd(t % n, n) != 1:
         raise ValueError(f"t={t} is not a unit mod {n}")
-    base = _key(apply_transform(row, EquivalenceWitness(0, t)))
-    matches = _shift_matches(base, _key(row))
+    matches = _shift_matches(_image_key(row, t), sort_key(row))
     return matches[0] if matches else None
 
 
@@ -212,11 +211,10 @@ def are_equivalent(r1: CirculantRow, r2: CirculantRow) -> EquivalenceWitness | N
     if r1.n != r2.n:
         raise ValueError(f"order mismatch: {r1.n} vs {r2.n}")
     n = r1.n
-    target = _key(r2)
+    target = sort_key(r2)
     found: list[tuple[int, int]] = []
     for t in units(n):
-        base = _key(apply_transform(r1, EquivalenceWitness(0, t)))
-        for s in _shift_matches(base, target):
+        for s in _shift_matches(_image_key(r1, t), target):
             found.append((s, t))
     if not found:
         return None
@@ -230,20 +228,22 @@ def canonical_form(row: CirculantRow) -> CirculantRow:
     Two rows are equivalent iff their canonical forms are identical.
     """
     n = row.n
-    best: str | None = None
+    best: tuple[str, int, int] | None = None
     for t in units(n):
-        base = _key(apply_transform(row, EquivalenceWitness(0, t)))
+        base = _image_key(row, t)
         doubled = base + base
         for p in range(n):
             cand = doubled[p : p + n]
-            if best is None or cand < best:
-                best = cand
+            if best is None or cand < best[0]:
+                best = (cand, p, t)
     assert best is not None
-    return _row_from_key(best)
+    # window p of the doubled key is x^(n-p) * row(x^t)
+    _, p, t = best
+    return apply_transform(row, EquivalenceWitness((n - p) % n, t))
 
 
 def canonical_form_up_to_negation(row: CirculantRow) -> CirculantRow:
     """Least canonical form of row and -row; convenience for sign-blind grouping."""
     a = canonical_form(row)
     b = canonical_form(-row)
-    return a if _key(a) <= _key(b) else b
+    return a if sort_key(a) <= sort_key(b) else b

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -109,42 +108,24 @@ def _assignments(spec: SearchSpec) -> list[tuple[frozenset, frozenset]]:
     return assignments
 
 
-def _verify_batch(args):
-    """(n, weight, assignments) -> verifying (P, N) pairs, in order."""
-    n, weight, assignments = args
-    hits = []
-    for P, N in assignments:
-        if verify_cw(from_sets(n, P, N)) == weight:
-            hits.append((P, N))
-    return hits
-
-
-def exhaustive_search(spec: SearchSpec, jobs: int = 1) -> SearchReport:
+def exhaustive_search(spec: SearchSpec) -> SearchReport:
     """Test every orbit assignment; report solutions and their classes.
 
-    Output is independent of jobs: candidates are checked in chunks and
-    hits re-assembled in enumeration order before sorting by canonical
-    form.
+    solutions are the distinct sign-normalized hits, ordered by their
+    canonical form (so class by class, in the order of classes), ties
+    in enumeration order.
     """
     assignments = _assignments(spec)
-    if jobs > 1 and len(assignments) > 4 * jobs:
-        size = (len(assignments) + jobs - 1) // jobs
-        chunks = [
-            (spec.n, spec.weight, assignments[i : i + size])
-            for i in range(0, len(assignments), size)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = [pn for batch in pool.map(_verify_batch, chunks) for pn in batch]
-    else:
-        hits = _verify_batch((spec.n, spec.weight, assignments))
-
     seen: dict[tuple, CirculantRow] = {}
-    for P, N in hits:
-        row = normalize_sign(from_sets(spec.n, P, N))
-        seen.setdefault(row.coeffs, row)
-    solutions = sorted(seen.values(), key=lambda r: sort_key(canonical_form(r)))
-    classes = classify(solutions)
-    return SearchReport(spec, len(assignments), tuple(solutions), tuple(classes))
+    for P, N in assignments:
+        row = from_sets(spec.n, P, N)
+        if verify_cw(row) == spec.weight:
+            row = normalize_sign(row)
+            seen.setdefault(row.coeffs, row)
+    classes = classify(list(seen.values()))
+    class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
+    solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
+    return SearchReport(spec, len(assignments), tuple(solutions), classes)
 
 
 def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]:
@@ -216,30 +197,36 @@ def contract(row: CirculantRow) -> tuple[CirculantRow, int]:
     return base, m
 
 
-def class_contractible(row: CirculantRow, d: int) -> bool:
-    """Whether some equivalent row has all support indices divisible by d.
+def _contraction_witness(row: CirculantRow, d: int) -> EquivalenceWitness | None:
+    """Least-t witness whose image has every support index divisible by d.
 
-    An image under (s, t) has support {t*i + s}; a suitable s exists
-    exactly when all t*i agree mod d, so only units t are scanned.
+    The image support is {t*i + s}; a suitable s exists exactly when all
+    t*i agree mod d, so only units t are scanned.
     """
+    support = row.support
+    for t in units(row.n):
+        residues = {(t * i) % d for i in support}
+        if len(residues) == 1:
+            return EquivalenceWitness((d - residues.pop()) % d, t)
+    return None
+
+
+def class_contractible(row: CirculantRow, d: int) -> bool:
+    """Whether some equivalent row has all support indices divisible by d."""
     if d < 1 or row.n % d != 0:
         raise ValueError(f"d must divide the order, got d={d}, n={row.n}")
-    support = row.support
-    if not support:
+    if not row.support:
         return True
-    return any(len({(t * i) % d for i in support}) == 1 for t in units(row.n))
+    return _contraction_witness(row, d) is not None
 
 
 def _contract_class(row: CirculantRow, d: int) -> CirculantRow:
     """A base row whose lift is equivalent to the given row."""
-    for t in units(row.n):
-        residues = {(t * i) % d for i in row.support}
-        if len(residues) == 1:
-            s = (d - residues.pop()) % d
-            image = apply_transform(row, EquivalenceWitness(s, t))
-            base, _ = contract(image)
-            return base
-    raise ValueError(f"class has no representative with support divisible by {d}")
+    witness = _contraction_witness(row, d)
+    if witness is None:
+        raise ValueError(f"class has no representative with support divisible by {d}")
+    base, _ = contract(apply_transform(row, witness))
+    return base
 
 
 @lru_cache(maxsize=None)
@@ -281,16 +268,25 @@ class ClassificationResult:
         return len(self.classes)
 
 
-def _search_all_pairs(n: int, weight: int, t: int = 2, jobs: int = 1):
+def _cross_check_error(what: str, reps, classes) -> RuntimeError:
+    """A cross-check failure naming both sides as sign strings."""
+    rule = ", ".join(r.to_string() for r in reps) or "none"
+    search = ", ".join(c.representative.to_string() for c in classes) or "none"
+    return RuntimeError(
+        f"{what}; rule representatives: [{rule}]; search class representatives: [{search}]"
+    )
+
+
+def _search_all_pairs(n: int, weight: int, t: int = 2):
     rows = []
     for pair in cross_pairs(weight, t):
-        report = exhaustive_search(SearchSpec(n, weight, t, pair), jobs=jobs)
+        report = exhaustive_search(SearchSpec(n, weight, t, pair))
         rows.extend(report.solutions)
     return rows
 
 
 def full_classification(
-    weight: int, n: int, cross_check: bool | None = None, jobs: int = 1
+    weight: int, n: int, cross_check: bool | None = None
 ) -> ClassificationResult:
     """Equivalence classes of CW(n, 16) for odd n, by the divisibility rules.
 
@@ -315,18 +311,23 @@ def full_classification(
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        found = _search_all_pairs(n, weight, jobs=jobs)
+        found = _search_all_pairs(n, weight)
         classes = classify(found)
         if len(classes) != len(reps):
-            raise RuntimeError(
-                f"rule predicts {len(reps)} classes at n={n}, search found {len(classes)}"
+            raise _cross_check_error(
+                f"rule predicts {len(reps)} classes at n={n}, search found {len(classes)}",
+                reps,
+                classes,
             )
         remaining = list(classes)
         for rep in reps:
             matches = [c for c in remaining if are_equivalent(rep, c.representative)]
             if len(matches) != 1:
-                raise RuntimeError(
-                    f"rule representative at n={n} matches {len(matches)} search classes"
+                raise _cross_check_error(
+                    f"rule representative {rep.to_string()} at n={n} matches "
+                    f"{len(matches)} search classes",
+                    reps,
+                    classes,
                 )
             remaining.remove(matches[0])
     return ClassificationResult(n, weight, tuple(reps), cross_check)

@@ -49,6 +49,15 @@ def test_verify_single_entry(capsys):
     assert "weight: 1" in out
 
 
+def test_verify_order_one_reports_identity_multiplier(capsys):
+    code, out, _ = run(capsys, "verify", "0")
+    assert code == 0
+    assert "multipliers: t=1 s=0" in out
+    code, out, _ = run(capsys, "verify", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["multipliers"] == [[1, 0]]
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(capsys, "verify", KNOWN_CW_31_16, "--format", "json")
     assert code == 0
@@ -223,6 +232,19 @@ def test_out_writes_json_file(tmp_path, capsys):
     assert "weight: 4" in out  # text still printed
     payload = json.loads(target.read_text())
     assert payload["weight"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "31", "16", "5^2", "1^1 5^1", "--jobs", "2"],
+        ["classify", "16", "--max-n", "21", "--jobs", "2"],
+    ],
+)
+def test_jobs_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -242,6 +242,35 @@ def test_canonical_form_is_least_in_its_orbit(r):
     assert sort_key(c) <= sort_key(r)
 
 
+def _units(n: int) -> list[int]:
+    return [t for t in range(n) if math.gcd(t, n) == 1]
+
+
+@given(rows(max_n=12))
+def test_canonical_form_matches_brute_force(r):
+    images = (
+        apply_transform(r, EquivalenceWitness(s, t)) for s in range(r.n) for t in _units(r.n)
+    )
+    assert canonical_form(r) == min(images, key=sort_key)
+
+
+@given(transformed(max_n=12))
+def test_are_equivalent_and_multiplier_shift_match_brute_force(pair):
+    r, w = pair
+    moved = apply_transform(r, w)
+    n = r.n
+    witnesses = [
+        EquivalenceWitness(s, t)
+        for s in range(n)
+        for t in _units(n)
+        if apply_transform(r, EquivalenceWitness(s, t)) == moved
+    ]
+    assert are_equivalent(r, moved) == witnesses[0]
+    for t in _units(n):
+        fixing = [s for s in range(n) if apply_transform(r, EquivalenceWitness(s, t)) == r]
+        assert multiplier_shift(r, t) == (fixing[0] if fixing else None)
+
+
 @given(rows())
 def test_canonical_form_up_to_negation_merges_signs(r):
     assert canonical_form_up_to_negation(r) == canonical_form_up_to_negation(-r)

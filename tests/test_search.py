@@ -21,10 +21,13 @@ from cwmat import (
     full_classification,
     lift,
     multiplier_shift,
+    normalize_sign,
     olp_of_set,
+    sort_key,
     verify_cw,
 )
 from cwmat.orbits import ModulusContext, orbits_of_length
+from cwmat.search import _assignments
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -139,10 +142,27 @@ def test_search_infeasible_order_returns_empty():
     assert report.solutions == ()
 
 
-def test_search_jobs_deterministic():
-    a = exhaustive_search(_spec(31, "5^2", "1^1 5^1"), jobs=1)
-    b = exhaustive_search(_spec(31, "5^2", "1^1 5^1"), jobs=2)
-    assert a == b
+@pytest.mark.parametrize(
+    "n,p,np_",
+    [
+        (31, "5^2", "1^1 5^1"),
+        (21, "1^1 3^1 6^1", "6^1"),
+        (63, "1^1 3^1 6^1", "6^1"),
+        (45, "4^1 6^1", "2^1 4^1"),
+        (105, "4^1 6^1", "2^1 4^1"),
+        (315, "4^1 6^1", "2^1 4^1"),
+    ],
+)
+def test_search_solutions_sorted_by_canonical_form(n, p, np_):
+    spec = _spec(n, p, np_)
+    distinct = {}
+    for P, N in _assignments(spec):
+        row = from_sets(n, P, N)
+        if verify_cw(row) == 16:
+            row = normalize_sign(row)
+            distinct.setdefault(row.coeffs, row)
+    expected = sorted(distinct.values(), key=lambda r: sort_key(canonical_form(r)))
+    assert exhaustive_search(spec).solutions == tuple(expected)
 
 
 def test_classify_groups_by_equivalence():
@@ -252,6 +272,16 @@ def test_full_classification_by_rule_only():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert are_equivalent(reps[i], reps[j]) is None
+
+
+@pytest.mark.parametrize("wrong", [(W1, W1), (W1, W2, W1)])
+def test_cross_check_failure_names_both_sides(monkeypatch, wrong):
+    monkeypatch.setattr("cwmat.search._reps_31", lambda: wrong)
+    with pytest.raises(RuntimeError) as exc:
+        full_classification(16, 31)
+    rule_side, search_side = str(exc.value).split("search class representatives")
+    assert all(row.to_string() in rule_side for row in wrong)
+    assert all(canonical_form(row).to_string() in search_side for row in (W1, W2))
 
 
 def test_full_classification_validates():
