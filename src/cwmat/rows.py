@@ -42,10 +42,10 @@ class CirculantRow:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"order must be positive, got {self.n}")
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        if any(c not in (-1, 0, 1) for c in coeffs):
+        if not set(coeffs) <= {-1, 0, 1}:
             raise ValueError("coefficients must lie in {-1, 0, +1}")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -167,11 +167,11 @@ def sort_key(row: CirculantRow) -> str:
     return "".join(_COEFF_TO_KEY[c] for c in row.coeffs)
 
 
-def _image_key(row: CirculantRow, t: int) -> str:
+def _image_key(row: CirculantRow, t: int, support: tuple[int, ...]) -> str:
     """sort_key(row(x^t)), written from the support: entry i goes to t*i mod n."""
     n = row.n
     out = [_COEFF_TO_KEY[0]] * n
-    for i in row.support:
+    for i in support:
         out[t * i % n] = _COEFF_TO_KEY[row.coeffs[i]]
     return "".join(out)
 
@@ -198,7 +198,7 @@ def multiplier_shift(row: CirculantRow, t: int) -> int | None:
     n = row.n
     if gcd(t % n, n) != 1:
         raise ValueError(f"t={t} is not a unit mod {n}")
-    matches = _shift_matches(_image_key(row, t), sort_key(row))
+    matches = _shift_matches(_image_key(row, t, row.support), sort_key(row))
     return matches[0] if matches else None
 
 
@@ -212,9 +212,10 @@ def are_equivalent(r1: CirculantRow, r2: CirculantRow) -> EquivalenceWitness | N
         raise ValueError(f"order mismatch: {r1.n} vs {r2.n}")
     n = r1.n
     target = sort_key(r2)
+    support = r1.support
     found: list[tuple[int, int]] = []
     for t in units(n):
-        for s in _shift_matches(_image_key(r1, t), target):
+        for s in _shift_matches(_image_key(r1, t, support), target):
             found.append((s, t))
     if not found:
         return None
@@ -226,13 +227,25 @@ def canonical_form(row: CirculantRow) -> CirculantRow:
     """Lexicographically least row over the full (s, t) orbit.
 
     Two rows are equivalent iff their canonical forms are identical.
+
+    For each unit t the shifts of row(x^t) are the rotations of its key.
+    A least rotation starts with the least letter of the key, and every
+    other start loses at the first letter. row(x^t) has the same letters
+    as row, so the only starts worth trying are the images t*i of the
+    positions i holding the least coefficient of the row: its -1 entries
+    if it has any, else its 0 entries, else every entry. Equal keys are
+    equal rows, so the order in which starts are tried does not matter.
     """
     n = row.n
+    support = row.support
+    least = min(row.coeffs)
+    starts = [i for i, c in enumerate(row.coeffs) if c == least]
     best: tuple[str, int, int] | None = None
     for t in units(n):
-        base = _image_key(row, t)
+        base = _image_key(row, t, support)
         doubled = base + base
-        for p in range(n):
+        for i in starts:
+            p = t * i % n
             cand = doubled[p : p + n]
             if best is None or cand < best[0]:
                 best = (cand, p, t)

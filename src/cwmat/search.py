@@ -13,12 +13,15 @@ length are the orders worth searching. Solutions at any multiple of a
 base order are lifts of base solutions, which is what full_classification
 exploits: it applies the divisibility rules for weight 16 and, for
 small orders, re-derives the answer by searching every candidate pair
-from scratch.
+from scratch. Each pair's search already groups its solutions under
+canonical representatives, so the cross-check merges the per-pair
+classes by representative instead of canonicalizing the rows again.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -81,8 +84,8 @@ class SearchReport:
     classes: tuple[EquivalenceClass, ...]
 
 
-def _assignments(spec: SearchSpec) -> list[tuple[frozenset, frozenset]]:
-    """Every (P, N) choice of distinct orbits matching the olp pair."""
+def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
+    """Every (P, N) choice of distinct orbits matching the olp pair, lazily."""
     ctx = ModulusContext(spec.n, spec.t)
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
@@ -90,7 +93,7 @@ def _assignments(spec: SearchSpec) -> list[tuple[frozenset, frozenset]]:
     available = {ell: orbits_of_length(ctx, ell) for ell in lengths}
     for ell in lengths:
         if len(available[ell]) < p_mults.get(ell, 0) + n_mults.get(ell, 0):
-            return []
+            return
 
     def per_length(ell):
         out = []
@@ -100,12 +103,10 @@ def _assignments(spec: SearchSpec) -> list[tuple[frozenset, frozenset]]:
                 out.append((p_sel, n_sel))
         return out
 
-    assignments = []
     for combo in itertools.product(*(per_length(ell) for ell in lengths)):
         P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb.elements)
         N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb.elements)
-        assignments.append((P, N))
-    return assignments
+        yield P, N
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchReport:
@@ -115,9 +116,10 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     canonical form (so class by class, in the order of classes), ties
     in enumeration order.
     """
-    assignments = _assignments(spec)
+    tested = 0
     seen: dict[tuple, CirculantRow] = {}
-    for P, N in assignments:
+    for P, N in _assignments(spec):
+        tested += 1
         row = from_sets(spec.n, P, N)
         if verify_cw(row) == spec.weight:
             row = normalize_sign(row)
@@ -125,7 +127,7 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     classes = classify(list(seen.values()))
     class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
     solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
-    return SearchReport(spec, len(assignments), tuple(solutions), classes)
+    return SearchReport(spec, tested, tuple(solutions), classes)
 
 
 def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]:
@@ -138,10 +140,18 @@ def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]
     if len(orders) > 1:
         raise ValueError(f"rows have mixed orders {sorted(orders)}")
     canon = canonical_form_up_to_negation if up_to_negation else canonical_form
-    groups: dict[tuple, list[CirculantRow]] = {}
-    reps: dict[tuple, CirculantRow] = {}
-    for row in rows:
-        rep = canon(row)
+    return _group((canon(row), row) for row in rows)
+
+
+def _group(pairs: Iterable[tuple[CirculantRow, CirculantRow]]) -> tuple[EquivalenceClass, ...]:
+    """Classes from (canonical representative, row) pairs.
+
+    Equal representatives mean one class; members are sorted by
+    sort_key and classes by their representative.
+    """
+    groups: dict[str, list[CirculantRow]] = {}
+    reps: dict[str, CirculantRow] = {}
+    for rep, row in pairs:
         key = sort_key(rep)
         groups.setdefault(key, []).append(row)
         reps.setdefault(key, rep)
@@ -277,12 +287,18 @@ def _cross_check_error(what: str, reps, classes) -> RuntimeError:
     )
 
 
-def _search_all_pairs(n: int, weight: int, t: int = 2):
-    rows = []
-    for pair in cross_pairs(weight, t):
-        report = exhaustive_search(SearchSpec(n, weight, t, pair))
-        rows.extend(report.solutions)
-    return rows
+def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
+    """Classes of the solutions of every cross pair at order n.
+
+    Rows of different pairs can be equivalent (lifts, as at n = 63), so
+    the per-pair classes are merged by their canonical representative.
+    """
+    return _group(
+        (c.representative, row)
+        for pair in cross_pairs(weight, t)
+        for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
+        for row in c.members
+    )
 
 
 def full_classification(
@@ -293,7 +309,8 @@ def full_classification(
     Classes are lifts of base representatives: two at order 31, one new
     at order 63, one at order 21, giving 2*[31|n] + [63|n] + [21|n]
     classes. cross_check (default: on for n <= 105) re-derives the
-    answer by exhaustive search over every candidate olp pair and fails
+    answer by exhaustive search over every candidate olp pair, merges
+    the per-pair classes by their canonical representative, and fails
     loudly on any mismatch.
     """
     if weight != 16:
@@ -311,8 +328,7 @@ def full_classification(
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        found = _search_all_pairs(n, weight)
-        classes = classify(found)
+        classes = _search_all_pairs(n, weight)
         if len(classes) != len(reps):
             raise _cross_check_error(
                 f"rule predicts {len(reps)} classes at n={n}, search found {len(classes)}",

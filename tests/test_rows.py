@@ -36,10 +36,10 @@ from golden import (
 )
 
 
-def rows(max_n: int = 24):
+def rows(max_n: int = 24, coeffs=(-1, 0, 1)):
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.lists(
-            st.sampled_from((-1, 0, 1)), min_size=n, max_size=n
+            st.sampled_from(coeffs), min_size=n, max_size=n
         ).map(lambda cs: CirculantRow(n, tuple(cs)))
     )
 
@@ -68,6 +68,16 @@ def test_row_construction_validates():
         CirculantRow(3, (1, 0))
     with pytest.raises(ValueError, match="lie in"):
         CirculantRow(2, (2, 0))
+
+
+def test_row_construction_normalizes_to_ints():
+    r = CirculantRow(3, (True, False, -1.0))
+    assert r.coeffs == (1, 0, -1)
+    assert all(type(c) is int for c in r.coeffs)
+    with pytest.raises(ValueError, match="lie in"):
+        CirculantRow(2, (True, 2))
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
+        CirculantRow(2, (True, 0, 0))
 
 
 def test_string_round_trip():
@@ -246,12 +256,30 @@ def _units(n: int) -> list[int]:
     return [t for t in range(n) if math.gcd(t, n) == 1]
 
 
-@given(rows(max_n=12))
-def test_canonical_form_matches_brute_force(r):
+def _brute_force_canonical(r: CirculantRow) -> CirculantRow:
     images = (
         apply_transform(r, EquivalenceWitness(s, t)) for s in range(r.n) for t in _units(r.n)
     )
-    assert canonical_form(r) == min(images, key=sort_key)
+    return min(images, key=sort_key)
+
+
+@given(rows(max_n=12))
+def test_canonical_form_matches_brute_force(r):
+    assert canonical_form(r) == _brute_force_canonical(r)
+
+
+# Rows without a -1 entry: the least rotation then starts at a 0, or anywhere.
+@given(rows(max_n=12, coeffs=(0, 1)))
+def test_canonical_form_matches_brute_force_without_minus(r):
+    assert canonical_form(r) == _brute_force_canonical(r)
+
+
+# All-zero, all-+ and all-- rows, down to order 1.
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 12])
+@pytest.mark.parametrize("c", [-1, 0, 1])
+def test_canonical_form_of_constant_rows(n, c):
+    r = CirculantRow(n, (c,) * n)
+    assert canonical_form(r) == r == _brute_force_canonical(r)
 
 
 @given(transformed(max_n=12))

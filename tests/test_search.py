@@ -15,6 +15,7 @@ from cwmat import (
     class_contractible,
     classify,
     contract,
+    cross_pairs,
     exhaustive_search,
     feasible_pairs,
     from_sets,
@@ -27,7 +28,7 @@ from cwmat import (
     verify_cw,
 )
 from cwmat.orbits import ModulusContext, orbits_of_length
-from cwmat.search import _assignments
+from cwmat.search import _assignments, _search_all_pairs
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -163,6 +164,31 @@ def test_search_solutions_sorted_by_canonical_form(n, p, np_):
             distinct.setdefault(row.coeffs, row)
     expected = sorted(distinct.values(), key=lambda r: sort_key(canonical_form(r)))
     assert exhaustive_search(spec).solutions == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "n,p,np_", [(n, p, np_) for (p, np_), orders in BASE_ORDER_CASES for n in orders]
+)
+def test_candidates_tested_counts_every_assignment(n, p, np_):
+    spec = _spec(n, p, np_)
+    assert exhaustive_search(spec).candidates_tested == sum(1 for _ in _assignments(spec))
+
+
+@pytest.mark.parametrize("n", [63, 93, 155, 189, 315, 341])
+def test_merged_pair_classes_equal_classify_of_all_solutions(n):
+    solutions = [
+        row
+        for pair in cross_pairs(16, 2)
+        for row in exhaustive_search(SearchSpec(n, 16, 2, pair)).solutions
+    ]
+    merged = _search_all_pairs(n, 16)
+    assert merged == classify(solutions)
+    keys = [sort_key(c.representative) for c in merged]
+    assert keys == sorted(set(keys))
+    for c in merged:
+        assert list(c.members) == sorted(c.members, key=sort_key)
+        assert all(canonical_form(m) == c.representative for m in c.members)
+    assert sorted(m.coeffs for c in merged for m in c.members) == sorted(r.coeffs for r in solutions)
 
 
 def test_classify_groups_by_equivalence():
