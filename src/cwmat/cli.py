@@ -8,7 +8,7 @@ objects always carry the same fields in the same order: n, weight, row,
 P, N, olpP, olpN.
 
 Exit codes: 0 success, 1 the verified row is not a weighing row,
-2 usage or parse error.
+2 usage or parse error, or an --out FILE that cannot be written.
 """
 from __future__ import annotations
 
@@ -27,7 +27,13 @@ from .pruning import (
     prune,
 )
 from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
-from .search import SearchSpec, classify, exhaustive_search, full_classification
+from .search import (
+    SearchSpec,
+    check_classified_weight,
+    classify,
+    exhaustive_search,
+    full_classification,
+)
 
 
 def _olp_json(olp: Olp) -> list[list[int]]:
@@ -58,16 +64,21 @@ def _row_payload(row: CirculantRow, t: int) -> dict:
     }
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
+    """Write --out, then print; the exit code, or 2 if --out cannot be written."""
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
             print(line)
+    return code
 
 
 def _usage_error(message: str) -> int:
@@ -110,8 +121,7 @@ def cmd_verify(args) -> int:
         "multipliers: " + (", ".join(f"t={u} s={s}" for u, s in mults) or "none"),
         f"cw equation: {'holds' if payload['cwEquation'] else 'fails'}",
     ]
-    _emit(args, payload, lines)
-    return 0 if weight is not None else 1
+    return _emit(args, payload, lines, 0 if weight is not None else 1)
 
 
 def _witness_json(w) -> dict:
@@ -168,8 +178,7 @@ def cmd_prune(args) -> int:
         head = f"{i:3d}  {r.verdict:8s}  ({r.pair.p}, {r.pair.n})"
         lines.append(head + (f"  {r.reason}" if r.witnesses else ""))
     lines.append(summary)
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines)
 
 
 def cmd_search(args) -> int:
@@ -213,17 +222,19 @@ def cmd_search(args) -> int:
     lines.append(f"classes: {len(classes)}")
     for i, c in enumerate(classes, 1):
         lines.append(f"  {i}. size {c.size}  representative {c.representative.to_string()}")
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines)
 
 
 def cmd_classify(args) -> int:
+    try:
+        check_classified_weight(args.weight)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if args.max_n < 1:
+        return _usage_error(f"--max-n must be at least 1, got {args.max_n}")
     results = []
     for n in range(1, args.max_n + 1, 2):
-        try:
-            res = full_classification(args.weight, n)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+        res = full_classification(args.weight, n)
         if res.count:
             results.append(res)
 
@@ -247,8 +258,7 @@ def cmd_classify(args) -> int:
         suffix = " (cross-checked)" if r.cross_checked else ""
         lines.append(f"n={r.n}: {r.count} {word}{suffix}")
         lines.extend(f"  {row.to_string()}" for row in r.classes)
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines)
 
 
 def _output_flags(sub) -> None:

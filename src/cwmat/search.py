@@ -7,15 +7,23 @@ equal length within one side are interchangeable (combinations, not
 permutations); the two sides are ordered. Every assignment is built
 into a row and checked by verify_cw.
 
+A pair's demand is the number of orbits of each length it uses, P and
+N sides together. Z_n can host the pair only if, for every length, the
+closed-form orbit_count is at least the demand; otherwise, by
+pigeonhole, the pair has no assignment at all. The search and the
+cross-check both decide this before listing a single orbit, so skipping
+such a pair loses no solution.
+
 base_orders computes, per part length with multiplicity, which moduli
 can host enough orbits of that length; the lcms of one choice per
 length are the orders worth searching. Solutions at any multiple of a
 base order are lifts of base solutions, which is what full_classification
 exploits: it applies the divisibility rules for weight 16 and, for
-small orders, re-derives the answer by searching every candidate pair
-from scratch. Each pair's search already groups its solutions under
-canonical representatives, so the cross-check merges the per-pair
-classes by representative instead of canonicalizing the rows again.
+small orders, re-derives the answer by searching from scratch every
+candidate pair that Z_n can host. Each pair's search already groups its
+solutions under canonical representatives, so the cross-check merges
+the per-pair classes by representative instead of canonicalizing the
+rows again.
 """
 from __future__ import annotations
 
@@ -54,6 +62,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"order must be positive, got {self.n}")
+        if self.t < 2:
+            raise ValueError(f"multiplier base must be at least 2, got {self.t}")
         if gcd(self.t, self.n) != 1:
             raise ValueError(f"t={self.t} is not a unit mod {self.n}")
         p_size, n_size = describing_set_sizes(self.weight)
@@ -84,16 +94,37 @@ class SearchReport:
     classes: tuple[EquivalenceClass, ...]
 
 
+Demand = tuple[tuple[int, int], ...]
+
+
+def _demand(pair: OlpPair) -> Demand:
+    """(length, orbits of that length used by P and N together), by length."""
+    return tuple(sorted(Counter(pair.p.parts + pair.n.parts).items()))
+
+
+def _hosts(counts: dict[int, int], demand: Demand) -> bool:
+    """Whether counts[ell] orbits of each length ell cover the demand.
+
+    Parts of both sides take distinct orbits, so a shortfall at any
+    length leaves no assignment at all.
+    """
+    return all(counts[ell] >= need for ell, need in demand)
+
+
 def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
-    """Every (P, N) choice of distinct orbits matching the olp pair, lazily."""
+    """Every (P, N) choice of distinct orbits matching the olp pair, lazily.
+
+    Orbits are listed only when the closed-form counts show that Z_n
+    hosts the pair.
+    """
+    demand = _demand(spec.pair)
+    if not _hosts({ell: orbit_count(spec.n, ell, spec.t) for ell, _ in demand}, demand):
+        return
     ctx = ModulusContext(spec.n, spec.t)
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
-    lengths = sorted(set(p_mults) | set(n_mults))
+    lengths = [ell for ell, _ in demand]
     available = {ell: orbits_of_length(ctx, ell) for ell in lengths}
-    for ell in lengths:
-        if len(available[ell]) < p_mults.get(ell, 0) + n_mults.get(ell, 0):
-            return
 
     def per_length(ell):
         out = []
@@ -173,12 +204,11 @@ def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
     parts = pair.p.parts + pair.n.parts
     if any(p > 10 for p in parts):
         raise ValueError("orbit lengths above 10 are outside the implemented analysis")
-    mults = Counter(parts)
     per_length = []
-    for ell in sorted(mults):
-        choices = [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= mults[ell]]
+    for ell, need in _demand(pair):
+        choices = [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= need]
         if not choices:
-            raise ValueError(f"no modulus hosts {mults[ell]} orbits of length {ell}")
+            raise ValueError(f"no modulus hosts {need} orbits of length {ell}")
         per_length.append(choices)
     return sorted({lcm(*combo) for combo in itertools.product(*per_length)})
 
@@ -287,18 +317,38 @@ def _cross_check_error(what: str, reps, classes) -> RuntimeError:
     )
 
 
+@lru_cache(maxsize=None)
+def _cross_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ...]:
+    """Every cross pair with its demand; they depend on (weight, t) only."""
+    return tuple((pair, _demand(pair)) for pair in cross_pairs(weight, t))
+
+
 def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
     """Classes of the solutions of every cross pair at order n.
 
-    Rows of different pairs can be equivalent (lifts, as at n = 63), so
-    the per-pair classes are merged by their canonical representative.
+    Only the pairs that Z_n can host are searched: orbit_count gives,
+    once per length, how many orbits Z_n has, and a pair demanding more
+    orbits of some length than that has no assignment, so skipping it
+    is exact. Rows of different pairs can be equivalent (lifts, as at
+    n = 63), so the per-pair classes are merged by their canonical
+    representative.
     """
+    pairs = _cross_pair_demands(weight, t)
+    lengths = {ell for _, demand in pairs for ell, _ in demand}
+    counts = {ell: orbit_count(n, ell, t) for ell in lengths}
     return _group(
         (c.representative, row)
-        for pair in cross_pairs(weight, t)
+        for pair, demand in pairs
+        if _hosts(counts, demand)
         for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
         for row in c.members
     )
+
+
+def check_classified_weight(weight: int) -> None:
+    """Raise ValueError unless full_classification covers this weight."""
+    if weight != 16:
+        raise ValueError(f"only weight 16 is classified, got {weight}")
 
 
 def full_classification(
@@ -313,8 +363,7 @@ def full_classification(
     the per-pair classes by their canonical representative, and fails
     loudly on any mismatch.
     """
-    if weight != 16:
-        raise ValueError(f"only weight 16 is classified, got {weight}")
+    check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {n}")
     reps: list[CirculantRow] = []

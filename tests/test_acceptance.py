@@ -211,6 +211,16 @@ def test_criterion_08_classification_matches_exhaustive_search():
         assert full_classification(16, 1953).count == 4
 
 
+def test_criterion_08b_cross_check_every_odd_order_up_to_1001():
+    """The rule and the from-scratch search agree on every odd n <= 1001."""
+    with _budget(300.0):
+        for n in range(1, 1002, 2):
+            res = full_classification(16, n, cross_check=True)
+            expected = 2 * (n % 31 == 0) + (n % 63 == 0) + (n % 21 == 0)
+            assert res.count == expected, f"n={n}"
+            assert res.cross_checked
+
+
 def _transformed_solutions(seed: int = 9):
     """Every base-search solution under ten seeded equivalence moves."""
     rng = random.Random(seed)

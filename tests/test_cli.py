@@ -225,6 +225,50 @@ def test_classify_rejects_other_weights(capsys):
     assert "weight 16" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "1", "-3"])
+def test_classify_checks_weight_before_any_order(capsys, max_n):
+    code, out, err = run(capsys, "classify", "25", "--max-n", max_n)
+    assert code == 2
+    assert "only weight 16 is classified" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_classify_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = run(capsys, "classify", "16", "--max-n", max_n)
+    assert code == 2
+    assert f"--max-n must be at least 1, got {max_n}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("t", ["1", "0", "-2"])
+def test_search_rejects_multiplier_below_two(capsys, t):
+    code, out, err = run(capsys, "search", "63", "16", "1^10", "1^6", "--multiplier", t)
+    assert code == 2
+    assert "multiplier base must be at least 2" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", KNOWN_CW_7_4],
+        ["prune", "16"],
+        ["search", "31", "16", "5^2", "1^1 5^1"],
+        ["classify", "16", "--max-n", "21"],
+    ],
+)
+def test_out_unwritable_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert out == ""
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert f"error: cannot write {tmp_path}: " in err
+
+
 def test_out_writes_json_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", KNOWN_CW_7_4, "--out", str(target))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from cwmat import (
     CirculantRow,
     Olp,
     OlpPair,
+    SearchReport,
     SearchSpec,
     are_equivalent,
     base_orders,
@@ -66,6 +69,9 @@ def test_search_spec_validates():
         SearchSpec(31, 16, 2, _pair("5^2", "6^1 1^1"))
     with pytest.raises(ValueError, match="perfect square"):
         SearchSpec(31, 15, 2, _pair("5^2", "1^1 5^1"))
+    for t in (1, 0, -1):
+        with pytest.raises(ValueError, match="multiplier base must be at least 2"):
+            SearchSpec(31, 16, t, _pair("5^2", "1^1 5^1"))
 
 
 @pytest.mark.parametrize(
@@ -174,7 +180,7 @@ def test_candidates_tested_counts_every_assignment(n, p, np_):
     assert exhaustive_search(spec).candidates_tested == sum(1 for _ in _assignments(spec))
 
 
-@pytest.mark.parametrize("n", [63, 93, 155, 189, 315, 341])
+@pytest.mark.parametrize("n", [35, 45, 63, 77, 93, 99, 135, 155, 189, 315, 341])
 def test_merged_pair_classes_equal_classify_of_all_solutions(n):
     solutions = [
         row
@@ -189,6 +195,46 @@ def test_merged_pair_classes_equal_classify_of_all_solutions(n):
         assert list(c.members) == sorted(c.members, key=sort_key)
         assert all(canonical_form(m) == c.representative for m in c.members)
     assert sorted(m.coeffs for c in merged for m in c.members) == sorted(r.coeffs for r in solutions)
+
+
+def test_cross_check_searches_exactly_the_pairs_z_n_hosts(monkeypatch):
+    """Oracle: orbits listed one by one, not the closed-form counts."""
+    real_search = exhaustive_search
+    searched = []
+
+    def record(spec):
+        searched.append(spec.pair)
+        return SearchReport(spec, 0, (), ())
+
+    monkeypatch.setattr("cwmat.search.exhaustive_search", record)
+    for n in range(1, 342, 2):
+        ctx = ModulusContext(n, 2)
+        listed = {ell: len(orbits_of_length(ctx, ell)) for ell in range(1, 11)}
+        hosted = [
+            pair
+            for pair in cross_pairs(16, 2)
+            if all(
+                listed[ell] >= need
+                for ell, need in (Counter(pair.p.parts) + Counter(pair.n.parts)).items()
+            )
+        ]
+        searched.clear()
+        _search_all_pairs(n, 16)
+        assert searched == hosted, f"n={n}"
+        for pair in cross_pairs(16, 2):
+            if pair not in hosted:
+                assert real_search(SearchSpec(n, 16, 2, pair)).candidates_tested == 0
+
+
+def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
+    def refuse(ctx, ell):
+        raise AssertionError(f"listed orbits of length {ell} at n={ctx.n}")
+
+    monkeypatch.setattr("cwmat.search.orbits_of_length", refuse)
+    # 35 has no orbits of length 5 under doubling
+    assert list(_assignments(_spec(35, "5^2", "1^1 5^1"))) == []
+    with pytest.raises(AssertionError, match="listed orbits"):
+        next(_assignments(_spec(31, "5^2", "1^1 5^1")))
 
 
 def test_classify_groups_by_equivalence():
