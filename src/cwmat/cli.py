@@ -8,13 +8,17 @@ objects always carry the same fields in the same order: n, weight, row,
 P, N, olpP, olpN.
 
 Exit codes: 0 success, 1 the verified row is not a weighing row,
-2 usage or parse error, or an --out FILE that cannot be written.
+2 usage or parse error, or an --out FILE that cannot be written (found
+before any work; FILE is replaced only by a complete payload).
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+import tempfile
 
 from .multisets import cw_equation_holds
 from .orbits import ModulusContext, units
@@ -65,14 +69,18 @@ def _row_payload(row: CirculantRow, t: int) -> dict:
 
 
 def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
-    """Write --out, then print; the exit code, or 2 if --out cannot be written."""
+    """Write --out through its staged file, then print; the exit code, or
+    2 if --out cannot be written (an old --out then stays intact)."""
     if args.out:
         try:
-            with open(args.out, "w") as fh:
+            with open(args.staged_out, "w") as fh:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(args.staged_out, args.out)
         except OSError as exc:
-            return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
+            return _out_error(args.out, exc)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -84,6 +92,25 @@ def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _out_error(path: str, exc: OSError) -> int:
+    return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _stage(path: str) -> str:
+    """An empty file beside path, with the mode open(path, "w") would
+    give, that _emit renames over path once the payload is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    fd, staged = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", dir=os.path.dirname(path) or "."
+    )
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(staged, 0o666 & ~umask)
+    return staged
 
 
 def _olp_text(olp: Olp | None, t: int) -> str:
@@ -327,7 +354,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_escape_sign_row(list(argv)))
-    return args.func(args)
+    if not args.out:
+        return args.func(args)
+    try:  # before any work, so an unwritable --out fails at once
+        args.staged_out = _stage(args.out)
+    except OSError as exc:
+        return _out_error(args.out, exc)
+    try:
+        return args.func(args)
+    finally:
+        if os.path.exists(args.staged_out):
+            os.unlink(args.staged_out)
 
 
 if __name__ == "__main__":

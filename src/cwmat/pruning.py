@@ -26,13 +26,26 @@ candidate set is a singleton, plus one t=2 special: an orbit of length
 k >= 2 always contains the differences +-t^i(t*a - a) = +-t^i*a, which
 lie in the orbit itself, so at least min(2k, k(k-1)) differences of
 length exactly k are forced.
+
+The per-length (min, max) tables are built in one pass over the
+contributions. Each adds its size to the max at every candidate length;
+to the min it adds its size at its candidate if that is the only one,
+and otherwise, if it is intra-orbit and t = 2, the floor at length k.
+An intra-orbit candidate set is a singleton only as {k}, so no
+contribution adds both. Same-side contributions never mix P and N, so
+the within-side table of a pair is the sum of one table per describing
+set; those are built once per olp, which thousands of pairs share.
+Their lengths are pol_delta, the set the existence level reads.
 """
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt, lcm
+from types import MappingProxyType
 
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
 
@@ -78,6 +91,9 @@ class Olp:
         return dict(Counter(self.parts))
 
 
+Demand = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class OlpPair:
     """(olp(P), olp(N)); p sums to |P|, n sums to |N|."""
@@ -87,6 +103,15 @@ class OlpPair:
 
     def __str__(self) -> str:
         return f"({self.p}, {self.n})"
+
+    @property
+    def demand(self) -> Demand:
+        """(length, orbits of that length used by P and N together), by length.
+
+        Parts of both sides take distinct orbits, so this is what the
+        orbit-count caps and the orbit counts of Z_n must cover.
+        """
+        return tuple(sorted(Counter(self.p.parts + self.n.parts).items()))
 
 
 def olp_of_set(X, ctx: ModulusContext) -> Olp:
@@ -130,8 +155,7 @@ def enumerate_partitions(total: int, max_part: int | None = None) -> list[Olp]:
 
 def cap_feasible(pair: OlpPair, t: int = 2) -> bool:
     """Whether the combined partition respects every orbit-count cap."""
-    combined = Counter(pair.p.parts) + Counter(pair.n.parts)
-    return all(mult <= orbit_count_cap(i, t) for i, mult in combined.items())
+    return all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
 
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:
@@ -203,18 +227,10 @@ def _side_contributions(olp: Olp) -> list[tuple[int, int, int, bool]]:
 
     One orbit of length k >= 2 contributes k(k-1) ordered differences
     (intra); two distinct orbits of lengths k, l on the same side
-    contribute 2kl.
+    contribute 2kl (parts are sorted, so k <= l).
     """
-    parts = olp.parts
-    out = []
-    for k in parts:
-        if k >= 2:
-            out.append((k, k, k * (k - 1), True))
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            k, l = parts[i], parts[j]
-            out.append((min(k, l), max(k, l), 2 * k * l, False))
-    return out
+    intra = [(k, k, k * (k - 1), True) for k in olp.parts if k >= 2]
+    return intra + [(k, l, 2 * k * l, False) for k, l in combinations(olp.parts, 2)]
 
 
 def _cross_contributions(pair: OlpPair) -> list[tuple[int, int, int, bool]]:
@@ -222,86 +238,73 @@ def _cross_contributions(pair: OlpPair) -> list[tuple[int, int, int, bool]]:
     return [(k, l, 2 * k * l, False) for k in pair.p.parts for l in pair.n.parts]
 
 
+def _bounds(contributions, intra_floor: bool) -> dict[int, tuple[int, int]]:
+    """Per-length (min, max) counts by the one-pass rule of the module
+    docstring; only lengths some contribution can reach appear."""
+    lo: Counter[int] = Counter()
+    hi: Counter[int] = Counter()
+    for k, l, size, intra in contributions:
+        cand = diff_length_candidates(k, l)
+        for m in cand:
+            hi[m] += size
+        if len(cand) == 1:
+            (m,) = cand
+            lo[m] += size
+        elif intra_floor and intra:
+            # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
+            lo[k] += min(2 * k, size)
+    return {m: (lo[m], hi[m]) for m in hi}
+
+
+@lru_cache(maxsize=None)
+def _side_bounds(olp: Olp, intra_floor: bool) -> Mapping[int, tuple[int, int]]:
+    """Bounds of one describing set's own differences, built once per olp."""
+    return MappingProxyType(_bounds(_side_contributions(olp), intra_floor))
+
+
 def pol_delta(olp: Olp) -> frozenset[int]:
     """Possible orbit lengths of differences within one describing set."""
-    out: set[int] = set()
-    for k, l, _, _ in _side_contributions(olp):
-        out |= diff_length_candidates(k, l)
-    return frozenset(out)
+    # the lengths are those of the max table, so the floor does not matter
+    return frozenset(_side_bounds(olp, True))
 
 
 def pol_delta_bar(pair: OlpPair) -> frozenset[int]:
     """Possible orbit lengths of differences across the two describing sets."""
-    out: set[int] = set()
-    for k, l, _, _ in _cross_contributions(pair):
-        out |= diff_length_candidates(k, l)
-    return frozenset(out)
+    return frozenset(_bounds(_cross_contributions(pair), False))
 
 
 @dataclass(frozen=True)
 class LengthCountBounds:
     """Per-length (min, max) difference counts for both sides of the
     multiset equation: delta = within-side differences, delta_bar =
-    cross differences."""
+    cross differences. Lengths absent from a table have (0, 0)."""
 
-    delta: tuple[tuple[int, int, int], ...]      # (length, min, max)
-    delta_bar: tuple[tuple[int, int, int], ...]
-
-    def _lookup(self, table, length):
-        for ell, lo, hi in table:
-            if ell == length:
-                return lo, hi
-        return 0, 0
+    delta: Mapping[int, tuple[int, int]]
+    delta_bar: Mapping[int, tuple[int, int]]
 
     def delta_bounds(self, length: int) -> tuple[int, int]:
-        return self._lookup(self.delta, length)
+        return self.delta.get(length, (0, 0))
 
     def delta_bar_bounds(self, length: int) -> tuple[int, int]:
-        return self._lookup(self.delta_bar, length)
+        return self.delta_bar.get(length, (0, 0))
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({ell for ell, _, _ in self.delta}
-                            | {ell for ell, _, _ in self.delta_bar}))
-
-
-def _bounds_table(contributions, lengths, intra_floor: bool):
-    table = []
-    for ell in lengths:
-        lo = hi = 0
-        for k, l, size, intra in contributions:
-            cand = diff_length_candidates(k, l)
-            if ell in cand:
-                hi += size
-            forced = size if cand == frozenset({ell}) else 0
-            floor = 0
-            if intra_floor and intra and ell == k:
-                # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
-                floor = min(2 * k, size)
-            lo += max(forced, floor)
-        if lo or hi:
-            table.append((ell, lo, hi))
-    return tuple(table)
+        return tuple(sorted(self.delta.keys() | self.delta_bar.keys()))
 
 
 def length_count_bounds(pair: OlpPair, t: int = 2) -> LengthCountBounds:
     """Min/max number of differences of each orbit length on both sides.
 
     max counts a contribution wherever its candidate set allows it; min
-    counts it only where it is forced (singleton candidate set, or the
-    t=2 intra-orbit floor). The two are combined per contribution by
-    max, so nothing is double counted.
+    counts it only where it is forced (singleton candidate set, or else
+    the t=2 intra-orbit floor). The delta table sums the P and N tables.
     """
-    side = _side_contributions(pair.p) + _side_contributions(pair.n)
-    cross = _cross_contributions(pair)
-    lengths: set[int] = set()
-    for k, l, _, _ in side + cross:
-        lengths |= diff_length_candidates(k, l)
-    ordered = sorted(lengths)
-    return LengthCountBounds(
-        delta=_bounds_table(side, ordered, intra_floor=(t == 2)),
-        delta_bar=_bounds_table(cross, ordered, intra_floor=False),
-    )
+    delta = dict(_side_bounds(pair.p, t == 2))
+    for m, (lo, hi) in _side_bounds(pair.n, t == 2).items():
+        d_lo, d_hi = delta.get(m, (0, 0))
+        delta[m] = (d_lo + lo, d_hi + hi)
+    return LengthCountBounds(delta, _bounds(_cross_contributions(pair), False))
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,13 @@ rows again.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
-from .pruning import Olp, OlpPair, cross_pairs, describing_set_sizes
+from .pruning import Demand, Olp, OlpPair, cross_pairs, describing_set_sizes
 from .rows import (
     CirculantRow,
     EquivalenceWitness,
@@ -50,9 +49,17 @@ from .rows import (
 )
 
 
+# Most orbit assignments one search may enumerate: about a minute and
+# 125 MiB (60 us per candidate at n = 315, 2-core x86, CPython 3.11).
+# Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
+# about 2.9e18 (1^10, 1^6 at n = 63).
+MAX_ASSIGNMENTS = 10**6
+
+
 @dataclass(frozen=True)
 class SearchSpec:
-    """Order, weight, multiplier, and orbit length partition pair."""
+    """Order, weight, multiplier, and orbit length partition pair, with
+    at most MAX_ASSIGNMENTS orbit assignments."""
 
     n: int
     weight: int
@@ -72,6 +79,24 @@ class SearchSpec:
                 f"olp sums must be ({p_size}, {n_size}) for weight "
                 f"{self.weight}, got ({self.pair.p.total}, {self.pair.n.total})"
             )
+        count = self.assignment_count
+        if count > MAX_ASSIGNMENTS:
+            raise ValueError(
+                f"{count} orbit assignments exceed the search bound of {MAX_ASSIGNMENTS}"
+            )
+
+    @property
+    def assignment_count(self) -> int:
+        """Number of (P, N) orbit assignments: the product over lengths ell
+        of C(c, p) * C(c - p, q) = C(c, p + q) * C(p + q, p), with c orbits
+        of length ell in Z_n and p, q parts of that length in P and N.
+        It is 0 exactly when Z_n cannot host the pair."""
+        p_mults = self.pair.p.multiplicities
+        count = 1
+        for ell, need in self.pair.demand:
+            c = orbit_count(self.n, ell, self.t)
+            count *= comb(c, need) * comb(need, p_mults.get(ell, 0))
+        return count
 
 
 @dataclass(frozen=True)
@@ -94,36 +119,18 @@ class SearchReport:
     classes: tuple[EquivalenceClass, ...]
 
 
-Demand = tuple[tuple[int, int], ...]
-
-
-def _demand(pair: OlpPair) -> Demand:
-    """(length, orbits of that length used by P and N together), by length."""
-    return tuple(sorted(Counter(pair.p.parts + pair.n.parts).items()))
-
-
-def _hosts(counts: dict[int, int], demand: Demand) -> bool:
-    """Whether counts[ell] orbits of each length ell cover the demand.
-
-    Parts of both sides take distinct orbits, so a shortfall at any
-    length leaves no assignment at all.
-    """
-    return all(counts[ell] >= need for ell, need in demand)
-
-
 def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
     """Every (P, N) choice of distinct orbits matching the olp pair, lazily.
 
     Orbits are listed only when the closed-form counts show that Z_n
     hosts the pair.
     """
-    demand = _demand(spec.pair)
-    if not _hosts({ell: orbit_count(spec.n, ell, spec.t) for ell, _ in demand}, demand):
+    if spec.assignment_count == 0:
         return
     ctx = ModulusContext(spec.n, spec.t)
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
-    lengths = [ell for ell, _ in demand]
+    lengths = [ell for ell, _ in spec.pair.demand]
     available = {ell: orbits_of_length(ctx, ell) for ell in lengths}
 
     def per_length(ell):
@@ -205,7 +212,7 @@ def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
     if any(p > 10 for p in parts):
         raise ValueError("orbit lengths above 10 are outside the implemented analysis")
     per_length = []
-    for ell, need in _demand(pair):
+    for ell, need in pair.demand:
         choices = [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= need]
         if not choices:
             raise ValueError(f"no modulus hosts {need} orbits of length {ell}")
@@ -320,7 +327,7 @@ def _cross_check_error(what: str, reps, classes) -> RuntimeError:
 @lru_cache(maxsize=None)
 def _cross_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ...]:
     """Every cross pair with its demand; they depend on (weight, t) only."""
-    return tuple((pair, _demand(pair)) for pair in cross_pairs(weight, t))
+    return tuple((pair, pair.demand) for pair in cross_pairs(weight, t))
 
 
 def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
@@ -339,7 +346,7 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass
     return _group(
         (c.representative, row)
         for pair, demand in pairs
-        if _hosts(counts, demand)
+        if all(counts[ell] >= need for ell, need in demand)
         for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
         for row in c.members
     )

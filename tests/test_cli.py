@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import time
 
 import pytest
 
@@ -250,6 +253,22 @@ def test_search_rejects_multiplier_below_two(capsys, t):
 
 
 @pytest.mark.parametrize(
+    "olp_p,olp_n,t",
+    [
+        ("1^10", "1^6", "64"),  # 63 fixed points: about 2.9e18 assignments
+        ("2^5", "2^3", "62"),  # 31 orbits {a, -a}: about 4.4e8 assignments
+    ],
+)
+def test_search_refuses_an_unbounded_assignment_count(capsys, olp_p, olp_n, t):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "63", "16", olp_p, olp_n, "--multiplier", t)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "orbit assignments exceed the search bound" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", KNOWN_CW_7_4],
@@ -267,6 +286,47 @@ def test_out_unwritable_is_a_usage_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert f"error: cannot write {tmp_path}: " in err
+
+
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classification ran before --out was checked")
+
+    monkeypatch.setattr("cwmat.cli.full_classification", refuse)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "classify", "16", "--max-n", "105", "--out", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert out == ""
+
+
+def test_out_failing_midway_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def dump_then_fail(payload, fh, **kwargs):
+        fh.write('{"n": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("cwmat.cli.json.dump", dump_then_fail)
+    code, out, err = run(capsys, "verify", KNOWN_CW_7_4, "--out", str(target))
+    assert code == 2
+    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+    assert out == ""
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_replaces_the_file_with_the_usual_mode(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+    code, _, _ = run(capsys, "prune", "16", "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["summary"]["countingSurvivors"] == 3
+    assert list(tmp_path.iterdir()) == [target]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_out_writes_json_file(tmp_path, capsys):

@@ -273,6 +273,65 @@ def test_length_count_bounds_totals():
     assert sum(b.delta_bar_bounds(ell)[1] for ell in b.lengths) == 2 * 10 * 6
 
 
+def _reference_tables(pair: OlpPair, t: int):
+    """Per-length (min, max) tables, length by length over every contribution.
+
+    The definition the library's one-pass tables must equal: a
+    contribution of size s counts toward the max wherever its candidate
+    set allows the length, and toward the min by the larger of its
+    forced part (s, if the candidate set is exactly that length) and,
+    for t = 2, the intra-orbit floor min(2k, s) at its own length k.
+    """
+
+    def side(parts):
+        intra = [(k, k, k * (k - 1), True) for k in parts if k >= 2]
+        pairs = [
+            (parts[i], parts[j], 2 * parts[i] * parts[j], False)
+            for i in range(len(parts))
+            for j in range(i + 1, len(parts))
+        ]
+        return intra + pairs
+
+    within = side(pair.p.parts) + side(pair.n.parts)
+    across = [(k, l, 2 * k * l, False) for k in pair.p.parts for l in pair.n.parts]
+    lengths = set()
+    for k, l, _, _ in within + across:
+        lengths |= diff_length_candidates(k, l)
+
+    def table(contributions, floor):
+        out = {}
+        for ell in sorted(lengths):
+            lo = hi = 0
+            for k, l, size, intra in contributions:
+                cand = diff_length_candidates(k, l)
+                if ell in cand:
+                    hi += size
+                forced = size if cand == {ell} else 0
+                lo += max(forced, min(2 * k, size) if floor and intra and ell == k else 0)
+            if lo or hi:
+                out[ell] = (lo, hi)
+        return out
+
+    return table(within, t == 2), table(across, False)
+
+
+@pytest.mark.parametrize("weight", [4, 9, 16, 25])
+def test_one_pass_bounds_match_the_reference(weight):
+    for pair in feasible_pairs(weight):
+        for t in (2, 1):
+            delta, delta_bar = _reference_tables(pair, t)
+            b = length_count_bounds(pair, t)
+            assert b.lengths == tuple(sorted(delta.keys() | delta_bar.keys())), str(pair)
+            for ell in b.lengths:
+                assert b.delta_bounds(ell) == delta.get(ell, (0, 0)), (str(pair), t, ell)
+                assert b.delta_bar_bounds(ell) == delta_bar.get(ell, (0, 0)), (str(pair), t, ell)
+        assert pol_delta(pair.p) | pol_delta(pair.n) == frozenset(delta), str(pair)
+        assert pol_delta_bar(pair) == frozenset(delta_bar), str(pair)
+        for olp in (pair.p, pair.n):
+            own, _ = _reference_tables(OlpPair(olp, Olp(())), 2)
+            assert pol_delta(olp) == frozenset(own), str(olp)
+
+
 def test_prune_existence_level():
     reports = prune(feasible_pairs(16), level="existence")
     assert len(reports) == 41

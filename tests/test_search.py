@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -31,7 +32,7 @@ from cwmat import (
     verify_cw,
 )
 from cwmat.orbits import ModulusContext, orbits_of_length
-from cwmat.search import _assignments, _search_all_pairs
+from cwmat.search import MAX_ASSIGNMENTS, _assignments, _search_all_pairs
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -72,6 +73,21 @@ def test_search_spec_validates():
     for t in (1, 0, -1):
         with pytest.raises(ValueError, match="multiplier base must be at least 2"):
             SearchSpec(31, 16, t, _pair("5^2", "1^1 5^1"))
+
+
+def test_search_spec_bounds_the_assignment_count():
+    # t = 64 fixes every residue mod 63: 63 orbits of length 1
+    too_many = comb(63, 16) * comb(16, 10)
+    with pytest.raises(ValueError, match=f"{too_many} orbit assignments exceed .* {MAX_ASSIGNMENTS}"):
+        SearchSpec(63, 16, 64, _pair("1^10", "1^6"))
+    # t = 62 = -1 (mod 63): 31 orbits {a, -a} of length 2
+    with pytest.raises(ValueError, match=f"{comb(31, 8) * comb(8, 5)} orbit assignments"):
+        SearchSpec(63, 16, 62, _pair("2^5", "2^3"))
+    # either side of the bound, at weight 4
+    assert comb(63, 4) * 4 > MAX_ASSIGNMENTS >= comb(41, 4) * 4
+    assert SearchSpec(41, 4, 42, _pair("1^3", "1^1")).assignment_count == comb(41, 4) * 4
+    with pytest.raises(ValueError, match="orbit assignments exceed"):
+        SearchSpec(63, 4, 64, _pair("1^3", "1^1"))
 
 
 @pytest.mark.parametrize(
@@ -177,7 +193,8 @@ def test_search_solutions_sorted_by_canonical_form(n, p, np_):
 )
 def test_candidates_tested_counts_every_assignment(n, p, np_):
     spec = _spec(n, p, np_)
-    assert exhaustive_search(spec).candidates_tested == sum(1 for _ in _assignments(spec))
+    tested = exhaustive_search(spec).candidates_tested
+    assert tested == sum(1 for _ in _assignments(spec)) == spec.assignment_count
 
 
 @pytest.mark.parametrize("n", [35, 45, 63, 77, 93, 99, 135, 155, 189, 315, 341])
