@@ -1,12 +1,5 @@
 """Circulant weighing matrices: verification, pruning, search, classification."""
 
-from .constructions import (
-    DenseWeighingMatrix,
-    InterleavePermutation,
-    circulant,
-    conjugate_to_circulant,
-    kronecker,
-)
 from .multisets import ResidueMultiset, adjoin, cw_equation_holds, delta, delta_bar
 from .orbits import (
     ModulusContext,
@@ -58,6 +51,7 @@ from .rows import (
     periodic_autocorrelation,
     sort_key,
     verify_cw,
+    verify_sets,
 )
 from .search import (
     ClassificationResult,
@@ -74,6 +68,21 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+# The dense constructions need numpy, which nothing else here uses; they
+# are imported on first access, so `import cwmat` does not load numpy.
+_CONSTRUCTIONS = frozenset(
+    {"DenseWeighingMatrix", "InterleavePermutation", "circulant", "conjugate_to_circulant", "kronecker"}
+)
+
+
+def __getattr__(name: str):
+    if name in _CONSTRUCTIONS:
+        from . import constructions
+
+        return getattr(constructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CirculantRow",
@@ -142,4 +151,5 @@ __all__ = [
     "survivors",
     "units",
     "verify_cw",
+    "verify_sets",
 ]

@@ -121,14 +121,43 @@ def periodic_autocorrelation(row: CirculantRow, lag: int) -> int:
     return sum(c[i] * c[(i + lag) % n] for i in row.support)
 
 
+def verify_sets(n: int, P, N) -> int | None:
+    """Weight |P| + |N| if +1 on P and -1 on N is a circulant weighing row
+    of order n, else None.
+
+    The periodic autocorrelation, summed over the sign map of the support
+    only, so no row is built. A lag that is no difference j - i of two
+    support indices has autocorrelation 0, so only those lags are tried,
+    each once together with its mirror n - lag, and the first nonzero one
+    ends the test: O(k^2) work for k support entries, whatever n is.
+    Overlapping or out-of-range indices raise ValueError, as in from_sets.
+    """
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    P, N = frozenset(P), frozenset(N)
+    sign = dict.fromkeys(P, 1)
+    sign.update(dict.fromkeys(N, -1))
+    if len(sign) != len(P) + len(N):
+        raise ValueError(f"P and N overlap: {sorted(P & N)}")
+    for i in sign:
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for order {n}")
+    items = sign.items()
+    tried = {0}
+    for i in sign:
+        for j in sign:
+            lag = (j - i) % n
+            if lag not in tried:
+                tried.update((lag, n - lag))
+                if sum(c * sign.get((x + lag) % n, 0) for x, c in items) != 0:
+                    return None
+    return len(sign)
+
+
 def verify_cw(row: CirculantRow) -> int | None:
     """Weight k if the row is a circulant weighing row, else None."""
-    c, n = row.coeffs, row.n
-    support = row.support
-    for lag in range(1, n // 2 + 1):
-        if sum(c[i] * c[(i + lag) % n] for i in support) != 0:
-            return None
-    return len(support)
+    sets = describing_sets(row)
+    return verify_sets(row.n, sets.P, sets.N)
 
 
 def normalize_sign(row: CirculantRow) -> CirculantRow:
@@ -223,7 +252,23 @@ def are_equivalent(r1: CirculantRow, r2: CirculantRow) -> EquivalenceWitness | N
     return EquivalenceWitness(s, t)
 
 
-def canonical_form(row: CirculantRow) -> CirculantRow:
+def _coset_leaders(n: int, t: int) -> list[int]:
+    """Least unit of each coset u<t> of U(n), ascending.
+
+    The coset of u is its cycle u, u*t, u*t^2, ... (mod n).
+    """
+    covered = bytearray(n)
+    leaders = []
+    for u in units(n):
+        if not covered[u]:
+            leaders.append(u)
+            while not covered[u]:
+                covered[u] = 1
+                u = u * t % n
+    return leaders
+
+
+def canonical_form(row: CirculantRow, multiplier: int | None = None) -> CirculantRow:
     """Lexicographically least row over the full (s, t) orbit.
 
     Two rows are equivalent iff their canonical forms are identical.
@@ -235,13 +280,22 @@ def canonical_form(row: CirculantRow) -> CirculantRow:
     positions i holding the least coefficient of the row: its -1 entries
     if it has any, else its 0 entries, else every entry. Equal keys are
     equal rows, so the order in which starts are tried does not matter.
+
+    multiplier is a unit m that may fix the row up to a shift. If it
+    does, row(x^m) = x^s * row, then row(x^(u*m)) = x^(s*u) * row(x^u):
+    all units of one coset u<m> of U(n) give the same set of rotations,
+    so only the least unit of each coset is scanned. If it does not (one
+    multiplier_shift check), every unit is scanned. The result is the
+    same either way; a multiplier that is not a unit raises ValueError.
     """
     n = row.n
+    fixed = multiplier is not None and multiplier_shift(row, multiplier) is not None
+    scanned = _coset_leaders(n, multiplier) if fixed else units(n)
     support = row.support
     least = min(row.coeffs)
     starts = [i for i, c in enumerate(row.coeffs) if c == least]
     best: tuple[str, int, int] | None = None
-    for t in units(n):
+    for t in scanned:
         base = _image_key(row, t, support)
         doubled = base + base
         for i in starts:

@@ -4,8 +4,11 @@ A normalized weighing row fixed by multiplier t has describing sets that
 are unions of t-orbits, so for a given (olp(P), olp(N)) pair the search
 space is the set of assignments of distinct orbits to parts. Orbits of
 equal length within one side are interchangeable (combinations, not
-permutations); the two sides are ordered. Every assignment is built
-into a row and checked by verify_cw.
+permutations); the two sides are ordered. Every assignment is checked
+on its describing sets by verify_sets (the autocorrelation test, with no
+row built); only the hits are built into rows, and each hit is also
+checked against the difference-multiset equation, an independent
+formulation, so a disagreement between the two fails loudly.
 
 A pair's demand is the number of orbits of each length it uses, P and
 N sides together. Z_n can host the pair only if, for every length, the
@@ -20,10 +23,12 @@ length are the orders worth searching. Solutions at any multiple of a
 base order are lifts of base solutions, which is what full_classification
 exploits: it applies the divisibility rules for weight 16 and, for
 small orders, re-derives the answer by searching from scratch every
-candidate pair that Z_n can host. Each pair's search already groups its
-solutions under canonical representatives, so the cross-check merges
-the per-pair classes by representative instead of canonicalizing the
-rows again.
+candidate pair that Z_n can host. Every solution is a union of t-orbits,
+so t fixes it up to a shift and its canonical form needs one unit per
+coset of <t> in U(n). Each pair's search already groups its solutions
+under canonical representatives, so the cross-check merges the per-pair
+classes by representative instead of canonicalizing the rows again, and
+matches each rule representative to a class by equal canonical forms.
 """
 from __future__ import annotations
 
@@ -33,8 +38,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, lcm
 
+from .multisets import cw_equation_holds
 from .orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
 from .pruning import Demand, Olp, OlpPair, cross_pairs, describing_set_sizes
+# verify_cw and are_equivalent are not called here but stay bound: the
+# benchmark's tracer (perfbench/tracer.py) wraps them in this module.
 from .rows import (
     CirculantRow,
     EquivalenceWitness,
@@ -46,11 +54,12 @@ from .rows import (
     normalize_sign,
     sort_key,
     verify_cw,
+    verify_sets,
 )
 
 
-# Most orbit assignments one search may enumerate: about a minute and
-# 125 MiB (60 us per candidate at n = 315, 2-core x86, CPython 3.11).
+# Most orbit assignments one search may enumerate: about a minute (60 us
+# per candidate at n = 315, 2-core x86, CPython 3.11).
 # Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
 # about 2.9e18 (1^10, 1^6 at n = 63).
 MAX_ASSIGNMENTS = 10**6
@@ -123,7 +132,9 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
     """Every (P, N) choice of distinct orbits matching the olp pair, lazily.
 
     Orbits are listed only when the closed-form counts show that Z_n
-    hosts the pair.
+    hosts the pair. The choices are nested one length at a time, the
+    first length outermost, so memory stays bounded by the orbit lists
+    whatever the number of assignments.
     """
     if spec.assignment_count == 0:
         return
@@ -133,18 +144,18 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
     lengths = [ell for ell, _ in spec.pair.demand]
     available = {ell: orbits_of_length(ctx, ell) for ell in lengths}
 
-    def per_length(ell):
-        out = []
+    def extend(k: int, P: tuple, N: tuple) -> Iterator[tuple[frozenset, frozenset]]:
+        if k == len(lengths):
+            yield frozenset(P), frozenset(N)
+            return
+        ell = lengths[k]
         for p_sel in itertools.combinations(available[ell], p_mults.get(ell, 0)):
             rest = [o for o in available[ell] if o not in p_sel]
+            more_p = P + tuple(x for orb in p_sel for x in orb.elements)
             for n_sel in itertools.combinations(rest, n_mults.get(ell, 0)):
-                out.append((p_sel, n_sel))
-        return out
+                yield from extend(k + 1, more_p, N + tuple(x for orb in n_sel for x in orb.elements))
 
-    for combo in itertools.product(*(per_length(ell) for ell in lengths)):
-        P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb.elements)
-        N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb.elements)
-        yield P, N
+    yield from extend(0, (), ())
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchReport:
@@ -152,17 +163,25 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
 
     solutions are the distinct sign-normalized hits, ordered by their
     canonical form (so class by class, in the order of classes), ties
-    in enumeration order.
+    in enumeration order. Raises RuntimeError if a hit fails the
+    difference-multiset equation.
     """
+    n = spec.n
     tested = 0
     seen: dict[tuple, CirculantRow] = {}
     for P, N in _assignments(spec):
         tested += 1
-        row = from_sets(spec.n, P, N)
-        if verify_cw(row) == spec.weight:
-            row = normalize_sign(row)
-            seen.setdefault(row.coeffs, row)
-    classes = classify(list(seen.values()))
+        if verify_sets(n, P, N) != spec.weight:
+            continue
+        row = from_sets(n, P, N)
+        if not cw_equation_holds(P, N, n):
+            raise RuntimeError(
+                f"autocorrelation and the difference-multiset equation disagree "
+                f"at n={n} on {row.to_string()}"
+            )
+        row = normalize_sign(row)
+        seen.setdefault(row.coeffs, row)
+    classes = _group((canonical_form(row, multiplier=spec.t), row) for row in seen.values())
     class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
     solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
     return SearchReport(spec, tested, tuple(solutions), classes)
@@ -367,7 +386,8 @@ def full_classification(
     at order 63, one at order 21, giving 2*[31|n] + [63|n] + [21|n]
     classes. cross_check (default: on for n <= 105) re-derives the
     answer by exhaustive search over every candidate olp pair, merges
-    the per-pair classes by their canonical representative, and fails
+    the per-pair classes by their canonical representative, finds each
+    rule representative's class by equal canonical forms, and fails
     loudly on any mismatch.
     """
     check_classified_weight(weight)
@@ -384,16 +404,20 @@ def full_classification(
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        classes = _search_all_pairs(n, weight)
+        t = 2
+        classes = _search_all_pairs(n, weight, t)
         if len(classes) != len(reps):
             raise _cross_check_error(
                 f"rule predicts {len(reps)} classes at n={n}, search found {len(classes)}",
                 reps,
                 classes,
             )
+        # Each class representative is already canonical, so class
+        # identity is equality of canonical forms.
         remaining = list(classes)
         for rep in reps:
-            matches = [c for c in remaining if are_equivalent(rep, c.representative)]
+            canon = canonical_form(rep, multiplier=t)
+            matches = [c for c in remaining if c.representative == canon]
             if len(matches) != 1:
                 raise _cross_check_error(
                     f"rule representative {rep.to_string()} at n={n} matches "

@@ -221,6 +221,19 @@ def test_criterion_08b_cross_check_every_odd_order_up_to_1001():
             assert res.cross_checked
 
 
+def test_criterion_08c_cross_check_multiples_of_21_and_31_up_to_4000():
+    """The rule and the from-scratch search agree on every odd n <= 4000
+    that has classes, that is every odd multiple of 21 or 31."""
+    with _budget(300.0):
+        for n in range(1, 4001, 2):
+            if n % 21 and n % 31:
+                continue
+            res = full_classification(16, n, cross_check=True)
+            expected = 2 * (n % 31 == 0) + (n % 63 == 0) + (n % 21 == 0)
+            assert res.count == expected, f"n={n}"
+            assert res.cross_checked
+
+
 def _transformed_solutions(seed: int = 9):
     """Every base-search solution under ten seeded equivalence moves."""
     rng = random.Random(seed)

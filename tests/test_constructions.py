@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +23,26 @@ from cwmat import (
 from golden import KNOWN_CW_7_4
 
 CW74 = CirculantRow.from_string(KNOWN_CW_7_4)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_cwmat_leaves_numpy_unloaded_until_a_construction_is_used():
+    code = (
+        "import sys, cwmat\n"
+        "assert 'numpy' not in sys.modules, 'import cwmat loaded numpy'\n"
+        "from cwmat import kronecker\n"
+        "assert 'numpy' in sys.modules and kronecker is cwmat.constructions.kronecker\n"
+        "namespace = {}\n"
+        "exec('from cwmat import *', namespace)\n"
+        "assert namespace['circulant'] is cwmat.constructions.circulant\n"
+        "assert not hasattr(cwmat, 'no_such_name')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def rows(max_n: int = 16):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
+    ModulusContext,
+    all_orbits,
     apply_transform,
     are_equivalent,
     canonical_form,
@@ -20,6 +23,7 @@ from cwmat import (
     periodic_autocorrelation,
     sort_key,
     verify_cw,
+    verify_sets,
 )
 from golden import (
     KNOWN_CW_7_4,
@@ -115,6 +119,34 @@ def test_from_sets_validates():
         from_sets(7, {1, 2}, {2})
     with pytest.raises(ValueError, match="out of range"):
         from_sets(7, {7}, set())
+
+
+def test_verify_sets_examples():
+    assert verify_sets(31, KNOWN_CW_31_16_P, KNOWN_CW_31_16_N) == 16
+    assert verify_sets(13, KNOWN_CW_13_9_P, KNOWN_CW_13_9_N) == 9
+    assert verify_sets(13, sorted(KNOWN_CW_13_9_P), list(KNOWN_CW_13_9_N)) == 9
+    assert verify_sets(7, {0, 1}, ()) is None
+    assert verify_sets(7, (), ()) == 0
+    assert verify_sets(1, {0}, ()) == 1
+
+
+@pytest.mark.parametrize(
+    "n,P,N",
+    [(7, {1, 2}, {2}), (7, {3, 2}, {2, 3}), (7, {7}, set()), (7, set(), {-1}), (7, {0}, {9})],
+)
+def test_verify_sets_rejects_like_from_sets(n, P, N):
+    with pytest.raises(ValueError) as built:
+        from_sets(n, P, N)
+    with pytest.raises(ValueError, match=re.escape(str(built.value))):
+        verify_sets(n, P, N)
+
+
+@given(rows())
+def test_verify_sets_matches_verify_cw_and_autocorrelation(r):
+    sets = describing_sets(r)
+    zero = all(periodic_autocorrelation(r, lag) == 0 for lag in range(1, r.n))
+    expected = len(r.support) if zero else None
+    assert verify_sets(r.n, sets.P, sets.N) == verify_cw(from_sets(r.n, sets.P, sets.N)) == expected
 
 
 def test_autocorrelation_examples():
@@ -280,6 +312,43 @@ def test_canonical_form_matches_brute_force_without_minus(r):
 def test_canonical_form_of_constant_rows(n, c):
     r = CirculantRow(n, (c,) * n)
     assert canonical_form(r) == r == _brute_force_canonical(r)
+
+
+@st.composite
+def orbit_unions(draw, max_n: int = 60):
+    """(row, t): one sign per t-orbit of Z_n, then rotated, for odd n <= max_n
+    and t in {2, 3, 5} prime to n, so t fixes the row up to a shift."""
+    n = draw(st.integers(1, max_n).filter(lambda m: m % 2 == 1))
+    t = draw(st.sampled_from([t for t in (2, 3, 5) if math.gcd(t, n) == 1]))
+    orbits = all_orbits(ModulusContext(n, t))
+    signs = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(orbits), max_size=len(orbits)))
+    coeffs = [0] * n
+    for orb, c in zip(orbits, signs):
+        for x in orb.elements:
+            coeffs[x] = c
+    shift = EquivalenceWitness(draw(st.integers(0, n - 1)), 1)
+    return apply_transform(CirculantRow(n, tuple(coeffs)), shift), t
+
+
+@given(orbit_unions())
+def test_canonical_form_with_a_fixing_multiplier_matches_brute_force(case):
+    r, t = case
+    assert multiplier_shift(r, t) is not None
+    assert canonical_form(r, multiplier=t) == canonical_form(r) == _brute_force_canonical(r)
+
+
+# Mostly rows that the multiplier does not fix: every unit is scanned.
+@given(rows(max_n=12).flatmap(lambda r: st.tuples(st.just(r), st.sampled_from(_units(r.n)))))
+def test_canonical_form_with_any_multiplier_matches_brute_force(case):
+    r, t = case
+    assert canonical_form(r, multiplier=t) == canonical_form(r) == _brute_force_canonical(r)
+
+
+def test_canonical_form_rejects_a_non_unit_multiplier():
+    with pytest.raises(ValueError, match="not a unit"):
+        canonical_form(W1, multiplier=31)
+    with pytest.raises(ValueError, match="not a unit"):
+        canonical_form(CirculantRow.from_string("+00+00000"), multiplier=3)
 
 
 @given(transformed(max_n=12))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -158,6 +160,24 @@ def test_search_at_21():
     assert are_equivalent(report.classes[0].representative, W0_21) is not None
 
 
+def test_search_builds_rows_only_for_hits(monkeypatch):
+    built = []
+
+    def record(n, P, N):
+        built.append((P, N))
+        return from_sets(n, P, N)
+
+    monkeypatch.setattr("cwmat.search.from_sets", record)
+    report = exhaustive_search(_spec(63, "1^1 3^1 6^1", "6^1"))
+    assert report.candidates_tested > len(built) == len(report.solutions) > 0
+
+
+def test_search_confirms_each_hit_by_the_difference_multiset_equation(monkeypatch):
+    monkeypatch.setattr("cwmat.search.cw_equation_holds", lambda P, N, n: False)
+    with pytest.raises(RuntimeError, match=r"disagree at n=31 on [-+0]{31}$"):
+        exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
+
+
 def test_search_infeasible_order_returns_empty():
     # 35 has no orbits of length 5 or 6 under doubling
     report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
@@ -195,6 +215,46 @@ def test_candidates_tested_counts_every_assignment(n, p, np_):
     spec = _spec(n, p, np_)
     tested = exhaustive_search(spec).candidates_tested
     assert tested == sum(1 for _ in _assignments(spec)) == spec.assignment_count
+
+
+def _product_assignments(spec: SearchSpec):
+    """The assignments as one itertools.product over per-length choice lists."""
+    ctx = ModulusContext(spec.n, spec.t)
+    per_length = []
+    for ell, _ in spec.pair.demand:
+        orbs = orbits_of_length(ctx, ell)
+        choices = []
+        for p_sel in itertools.combinations(orbs, spec.pair.p.multiplicities.get(ell, 0)):
+            rest = [o for o in orbs if o not in p_sel]
+            for n_sel in itertools.combinations(rest, spec.pair.n.multiplicities.get(ell, 0)):
+                choices.append((p_sel, n_sel))
+        per_length.append(choices)
+    for combo in itertools.product(*per_length):
+        P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb.elements)
+        N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb.elements)
+        yield P, N
+
+
+@pytest.mark.parametrize(
+    "n,p,np_", [(n, p, np_) for (p, np_), orders in BASE_ORDER_CASES for n in orders]
+)
+def test_assignments_follow_the_product_order(n, p, np_):
+    spec = _spec(n, p, np_)
+    assert list(_assignments(spec)) == list(_product_assignments(spec))
+
+
+def test_assignments_are_lazy_across_lengths():
+    # t = 42 fixes every residue mod 41: C(41, 4) * 4 = 405080 assignments
+    spec = SearchSpec(41, 4, 42, _pair("1^3", "1^1"))
+    assert spec.assignment_count == 405080
+    tracemalloc.start()
+    try:
+        first = next(_assignments(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (frozenset({0, 1, 2}), frozenset({3}))
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("n", [35, 45, 63, 77, 93, 99, 135, 155, 189, 315, 341])
