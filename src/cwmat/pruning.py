@@ -36,6 +36,17 @@ contribution adds both. Same-side contributions never mix P and N, so
 the within-side table of a pair is the sum of one table per describing
 set; those are built once per olp, which thousands of pairs share.
 Their lengths are pol_delta, the set the existence level reads.
+
+Per pair, each level does only the work that depends on the pair. Each
+olp keeps, once, its sorted distinct parts and its pol_delta as an int
+bitmask (bit m for length m); each cross (k, l) keeps, once, its
+candidate lengths as a bitmask and the ExistenceWitness it fires, which
+is frozen, so every report that cites it shares it. The existence test
+of a pair is then one AND per distinct (k, l), in sorted order. The
+orbit-count caps are checked from per-olp multiplicities before a pair
+is built, and the pair grid is counted, by a generating function,
+before any partition is listed: a weight with more than
+MAX_CROSS_PAIRS cross pairs is refused.
 """
 from __future__ import annotations
 
@@ -44,7 +55,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from types import MappingProxyType
 
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
@@ -153,9 +164,29 @@ def enumerate_partitions(total: int, max_part: int | None = None) -> list[Olp]:
     return [Olp(parts) for parts in rec(total, max_part)]
 
 
+@lru_cache(maxsize=None)
+def _multiplicities(olp: Olp) -> dict[int, int]:
+    """Olp.multiplicities, built once per olp; callers must not mutate it."""
+    return olp.multiplicities
+
+
+def _within_caps(p_mults, n_mults, caps) -> bool:
+    """Whether olp(P) and olp(N) together take at most caps[ell] orbits of
+    each length ell; parts of both sides take distinct orbits."""
+    for ell, m in p_mults.items():
+        if m + n_mults.get(ell, 0) > caps[ell]:
+            return False
+    for ell, m in n_mults.items():
+        if m > caps[ell]:
+            return False
+    return True
+
+
 def cap_feasible(pair: OlpPair, t: int = 2) -> bool:
     """Whether the combined partition respects every orbit-count cap."""
-    return all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
+    p_mults, n_mults = _multiplicities(pair.p), _multiplicities(pair.n)
+    caps = {ell: orbit_count_cap(ell, t) for ell in p_mults.keys() | n_mults.keys()}
+    return _within_caps(p_mults, n_mults, caps)
 
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:
@@ -182,28 +213,82 @@ def feasible_partitions(size: int, t: int = 2) -> list[Olp]:
     ]
 
 
+# The most (olp(P), olp(N)) combinations cross_pairs and feasible_pairs
+# will list; W = 64 at t = 2 has 1254076, W = 81 has 19470136.
+MAX_CROSS_PAIRS = 2 * 10**6
+
+
+def _capped_partition_count(size: int, caps) -> int:
+    """Partitions of size with at most caps[ell] parts of each length ell.
+
+    The coefficient of x^size in prod_ell sum_{m <= caps[ell]} x^(ell*m),
+    multiplied in one factor at a time by window sums of stride ell.
+    """
+    ways = [1] + [0] * size
+    for ell in range(1, size + 1):
+        stop = ell * (caps[ell] + 1)
+        new = ways[:]
+        for s in range(ell, size + 1):
+            new[s] += new[s - ell]
+            if s >= stop:
+                new[s] -= ways[s - stop]
+        ways = new
+    return ways[size]
+
+
+def _olp_grid(weight: int, t: int) -> tuple[list[Olp], list[Olp], list[int]]:
+    """(feasible olps of P, feasible olps of N, caps by length), refused
+    before any olp is listed if there are more than MAX_CROSS_PAIRS pairs."""
+    sizes = describing_set_sizes(weight)
+    # Every length has an orbit, so the partitions into distinct parts
+    # bound the count from below; they do not get fewer as the size grows,
+    # and two sides of 100 (444793 such partitions each) are far too many.
+    floor = prod(_capped_partition_count(min(s, 100), [1] * 101) for s in sizes)
+    if floor > MAX_CROSS_PAIRS:
+        raise ValueError(
+            f"weight {weight}: at least {floor} olp pairs exceed the "
+            f"pair-grid bound of {MAX_CROSS_PAIRS}"
+        )
+    p_size, n_size = sizes
+    caps = [0] + [orbit_count_cap(ell, t) for ell in range(1, p_size + 1)]
+    count = prod(_capped_partition_count(s, caps) for s in sizes)
+    if count > MAX_CROSS_PAIRS:
+        raise ValueError(
+            f"weight {weight}: {count} olp pairs exceed the "
+            f"pair-grid bound of {MAX_CROSS_PAIRS}"
+        )
+    return feasible_partitions(p_size, t), feasible_partitions(n_size, t), caps
+
+
 def cross_pairs(weight: int, t: int = 2) -> list[OlpPair]:
     """All (olp(P), olp(N)) combinations of individually feasible partitions.
 
     Outer loop over olp(N), inner over olp(P), both in enumeration
-    order; weight 16, t = 2 gives 5 x 13 = 65 pairs.
+    order; weight 16, t = 2 gives 5 x 13 = 65 pairs. More than
+    MAX_CROSS_PAIRS of them raise ValueError.
     """
-    p_size, n_size = describing_set_sizes(weight)
-    p_olps = feasible_partitions(p_size, t)
-    return [
-        OlpPair(olp_p, olp_n)
-        for olp_n in feasible_partitions(n_size, t)
-        for olp_p in p_olps
-    ]
+    p_olps, n_olps, _ = _olp_grid(weight, t)
+    return [OlpPair(olp_p, olp_n) for olp_n in n_olps for olp_p in p_olps]
 
 
 def feasible_pairs(weight: int, t: int = 2) -> list[OlpPair]:
     """Cross pairs whose combined multiplicities also fit the caps.
 
     For weight 16 and t = 2 this leaves 41 pairs, in the conventional
-    numbering (same order as cross_pairs).
+    numbering (same order as cross_pairs). Only the pairs that fit are
+    built.
     """
-    return [pair for pair in cross_pairs(weight, t) if cap_feasible(pair, t)]
+    p_olps, n_olps, caps = _olp_grid(weight, t)
+    p_sides = [(olp, _multiplicities(olp)) for olp in p_olps]
+    out = []
+    for olp_n in n_olps:
+        n_mults = _multiplicities(olp_n)
+        out.extend(
+            OlpPair(olp_p, olp_n)
+            for olp_p, p_mults in p_sides
+            if _within_caps(p_mults, n_mults, caps)
+        )
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -349,13 +434,35 @@ class PruneReport:
         return str(self.witnesses[0]) if self.witnesses else ""
 
 
+def _mask(lengths) -> int:
+    """Bitmask with bit m set for each length m."""
+    return sum(1 << m for m in lengths)
+
+
+@lru_cache(maxsize=None)
+def _existence_profile(olp: Olp) -> tuple[tuple[int, ...], int]:
+    """(sorted distinct parts, pol_delta as a bitmask), built once per olp."""
+    return tuple(_multiplicities(olp)), _mask(_side_bounds(olp, True))
+
+
+@lru_cache(maxsize=None)
+def _cross_witness(k: int, l: int) -> tuple[int, ExistenceWitness]:
+    """The candidate lengths of a cross (k, l) as a bitmask, and the
+    witness they give when none is possible within a side."""
+    cand = diff_length_candidates(k, l)
+    return _mask(cand), ExistenceWitness(k, l, tuple(sorted(cand)))
+
+
 def _existence_witnesses(pair: OlpPair) -> list[ExistenceWitness]:
-    possible = pol_delta(pair.p) | pol_delta(pair.n)
+    p_parts, p_mask = _existence_profile(pair.p)
+    n_parts, n_mask = _existence_profile(pair.n)
+    possible = p_mask | n_mask
     out = []
-    for k, l in sorted({(k, l) for k in pair.p.parts for l in pair.n.parts}):
-        cand = diff_length_candidates(k, l)
-        if not cand & possible:
-            out.append(ExistenceWitness(k, l, tuple(sorted(cand))))
+    for k in p_parts:
+        for l in n_parts:
+            cand, witness = _cross_witness(k, l)
+            if not cand & possible:
+                out.append(witness)
     return out
 
 

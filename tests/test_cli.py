@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import time
@@ -160,6 +161,34 @@ def test_prune_wider_weights(capsys):
         "existenceSurvivors": 542,
         "countingSurvivors": 70,
     }
+
+
+# sha256 of the stdout of these commands at commit 4322943, the parent
+# of the bitmask existence test: a regression reference for every pair,
+# verdict and witness text (parent output), not an independent result.
+PARENT_PRUNE_JSON_SHA256 = {
+    ("prune", "36", "--format", "json"):
+        "aa96f5d27ed4a082643b18cca89fb97672aa3a7ec16710957285b0fa55023c68",
+    ("prune", "25", "--multiplier", "3", "--format", "json"):
+        "085bb5a64a0a8f271080ddb5bce5338d5dd019955fe7af3227113afce7f8351e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARENT_PRUNE_JSON_SHA256))
+def test_prune_json_matches_parent_output(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PARENT_PRUNE_JSON_SHA256[argv]
+
+
+def test_prune_refuses_an_oversized_pair_grid(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prune", "81")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "19470136" in err
+    assert "2000000" in err
 
 
 def test_prune_other_square_weight_runs(capsys):

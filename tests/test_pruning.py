@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cwmat import (
+    ExistenceWitness,
     ModulusContext,
     Olp,
     OlpPair,
+    PruneReport,
     cap_feasible,
     cross_pairs,
     describing_set_sizes,
@@ -22,10 +24,16 @@ from cwmat import (
     length_count_bounds,
     length_table,
     olp_of_set,
+    orbit_count_cap,
     pol_delta,
     pol_delta_bar,
     prune,
     survivors,
+)
+from cwmat.pruning import (
+    MAX_CROSS_PAIRS,
+    _capped_partition_count,
+    _counting_witnesses,
 )
 from golden import (
     COUNTING_SURVIVOR_INDICES,
@@ -151,6 +159,8 @@ def test_cap_feasible_checks_combined_multiplicities():
     assert not cap_feasible(_pair("3^2 4^1", "3^2"))
     assert cap_feasible(_pair("10^1", "6^1"))
     assert not cap_feasible(_pair("1^6 4^1", "6^1"))
+    # a side that exceeds a cap on its own, at a length the other side lacks
+    assert not cap_feasible(_pair("10^1", "1^6"))
 
 
 def test_diff_length_candidates_examples():
@@ -371,6 +381,97 @@ def test_prune_counting_witnesses():
             if hasattr(w, "direction") and w.direction == "delta>delta_bar"
         }
         assert (length, lo, hi) in found
+
+
+def _reference_existence_witnesses(pair: OlpPair) -> list[ExistenceWitness]:
+    """The set formulation the bitmask test must equal: a cross (k, l),
+    over the sorted distinct (k, l), fires when its candidate lengths
+    are disjoint from the pol_delta of both sides."""
+    possible = pol_delta(pair.p) | pol_delta(pair.n)
+    out = []
+    for k, l in sorted({(k, l) for k in pair.p.parts for l in pair.n.parts}):
+        cand = diff_length_candidates(k, l)
+        if not cand & possible:
+            out.append(ExistenceWitness(k, l, tuple(sorted(cand))))
+    return out
+
+
+def _reference_report(pair: OlpPair, level: str, t: int) -> PruneReport:
+    witnesses = _reference_existence_witnesses(pair)
+    if not witnesses and level == "counting":
+        witnesses = _counting_witnesses(pair, t)
+    return PruneReport(pair, "rejected" if witnesses else "accepted", tuple(witnesses))
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("weight", [0, 4, 9, 16, 25, 36])
+def test_prune_matches_the_set_formulation(weight, t):
+    pairs = feasible_pairs(weight, t)
+    for level in ("existence", "counting"):
+        expected = [_reference_report(pair, level, t) for pair in pairs]
+        assert prune(pairs, level=level, t=t) == expected, (weight, t, level)
+
+
+def test_existence_witnesses_are_shared_between_reports():
+    reports = prune(feasible_pairs(25), level="existence")
+    by_cross = {}
+    for report in reports:
+        for w in report.witnesses:
+            assert by_cross.setdefault((w.k, w.l), w) is w
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("weight", [0, 4, 9, 16, 25, 36])
+def test_feasible_pairs_are_the_cap_feasible_cross_pairs(weight, t):
+    cross = cross_pairs(weight, t)
+    assert feasible_pairs(weight, t) == [p for p in cross if cap_feasible(p, t)]
+    for pair in cross:
+        # the demand formulation: combined orbits per length against the cap
+        by_demand = all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
+        assert cap_feasible(pair, t) == by_demand, str(pair)
+
+
+def _caps(size: int, t: int) -> list[int]:
+    return [0] + [orbit_count_cap(ell, t) for ell in range(1, size + 1)]
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_capped_partition_count_matches_enumeration(t):
+    for size in range(26):
+        assert _capped_partition_count(size, _caps(size, t)) == len(
+            feasible_partitions(size, t)
+        ), (size, t)
+    # partitions into distinct parts: q(10) = 10, q(50) = 3658
+    assert _capped_partition_count(10, [1] * 11) == 10
+    assert _capped_partition_count(50, [1] * 51) == 3658
+
+
+def test_pair_grid_counts_at_t_2():
+    """|feasible_partitions(|P|)| * |feasible_partitions(|N|)| by the count alone."""
+    expected = {16: 65, 49: 87626, 64: 1254076, 81: 19470136, 100: 322184814}
+    for weight, count in expected.items():
+        p_size, n_size = describing_set_sizes(weight)
+        caps = _caps(p_size, 2)
+        got = _capped_partition_count(p_size, caps) * _capped_partition_count(n_size, caps)
+        assert got == count, weight
+    assert expected[64] <= MAX_CROSS_PAIRS < expected[81]
+
+
+@pytest.mark.parametrize("weight", [81, 100, 400, 10**12])
+def test_pair_grid_bound_refuses_before_listing(weight):
+    for build in (cross_pairs, feasible_pairs):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceed the pair-grid bound of {MAX_CROSS_PAIRS}"):
+            build(weight)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_pair_grid_refusal_names_the_count():
+    with pytest.raises(ValueError, match="weight 81: 19470136 olp pairs exceed"):
+        feasible_pairs(81)
+    # beyond the distinct-parts floor only a lower bound is named
+    with pytest.raises(ValueError, match="weight 10000: at least [0-9]+ olp pairs exceed"):
+        cross_pairs(10000)
 
 
 # Regression reference, not an independent result: the counts the
