@@ -15,7 +15,10 @@ N sides together. Z_n can host the pair only if, for every length, the
 closed-form orbit_count is at least the demand; otherwise, by
 pigeonhole, the pair has no assignment at all. The search and the
 cross-check both decide this before listing a single orbit, so skipping
-such a pair loses no solution.
+such a pair loses no solution. The count of length-ell orbits depends on
+n only through gcd(n, t^e - 1) for e | ell, and every such t^e - 1
+divides M, the lcm of t^ell - 1 over the lengths the cross pairs use; so
+the cross-check decides hosting once per g = gcd(n, M), not once per n.
 
 base_orders computes, per part length with multiplicity, which moduli
 can host enough orbits of that length; the lcms of one choice per
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 from .multisets import cw_equation_holds
@@ -94,7 +97,7 @@ class SearchSpec:
                 f"{count} orbit assignments exceed the search bound of {MAX_ASSIGNMENTS}"
             )
 
-    @property
+    @cached_property
     def assignment_count(self) -> int:
         """Number of (P, N) orbit assignments: the product over lengths ell
         of C(c, p) * C(c - p, q) = C(c, p + q) * C(p + q, p), with c orbits
@@ -349,23 +352,39 @@ def _cross_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ..
     return tuple((pair, pair.demand) for pair in cross_pairs(weight, t))
 
 
+@lru_cache(maxsize=None)
+def _host_modulus(weight: int, t: int) -> int:
+    """M: the lcm of t^ell - 1 over every length the cross pairs use."""
+    return lcm(*(t**ell - 1 for _, demand in _cross_pair_demands(weight, t) for ell, _ in demand))
+
+
+@lru_cache(maxsize=None)
+def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
+    """The cross pairs, in order, whose demand Z_g can host, for g dividing M."""
+    pairs = _cross_pair_demands(weight, t)
+    lengths = {ell for _, demand in pairs for ell, _ in demand}
+    counts = {ell: orbit_count(g, ell, t) for ell in lengths}
+    return tuple(
+        pair for pair, demand in pairs if all(counts[ell] >= need for ell, need in demand)
+    )
+
+
 def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
     """Classes of the solutions of every cross pair at order n.
 
-    Only the pairs that Z_n can host are searched: orbit_count gives,
-    once per length, how many orbits Z_n has, and a pair demanding more
-    orbits of some length than that has no assignment, so skipping it
-    is exact. Rows of different pairs can be equivalent (lifts, as at
-    n = 63), so the per-pair classes are merged by their canonical
-    representative.
+    Only the pairs that Z_n can host are searched: a pair demanding more
+    orbits of some length than orbit_count gives has no assignment, so
+    skipping it is exact. That count at n equals the count at
+    g = gcd(n, M) (see _host_modulus), so the hosted pairs are computed
+    once per g, one entry per divisor of M. Rows of different pairs can
+    be equivalent (lifts, as at n = 63), so the per-pair classes are
+    merged by their canonical representative.
     """
-    pairs = _cross_pair_demands(weight, t)
-    lengths = {ell for _, demand in pairs for ell, _ in demand}
-    counts = {ell: orbit_count(n, ell, t) for ell in lengths}
+    ModulusContext(n, t)  # raises unless n >= 1 and t is a unit mod n; g always is one
+    hosted = _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t)))
     return _group(
         (c.representative, row)
-        for pair, demand in pairs
-        if all(counts[ell] >= need for ell, need in demand)
+        for pair in hosted
         for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
         for row in c.members
     )

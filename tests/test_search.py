@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from collections import Counter
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -33,8 +33,14 @@ from cwmat import (
     sort_key,
     verify_cw,
 )
-from cwmat.orbits import ModulusContext, orbits_of_length
-from cwmat.search import MAX_ASSIGNMENTS, _assignments, _search_all_pairs
+from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length
+from cwmat.search import (
+    MAX_ASSIGNMENTS,
+    _assignments,
+    _host_modulus,
+    _hosted_pairs,
+    _search_all_pairs,
+)
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -90,6 +96,19 @@ def test_search_spec_bounds_the_assignment_count():
     assert SearchSpec(41, 4, 42, _pair("1^3", "1^1")).assignment_count == comb(41, 4) * 4
     with pytest.raises(ValueError, match="orbit assignments exceed"):
         SearchSpec(63, 4, 64, _pair("1^3", "1^1"))
+
+
+def test_assignment_count_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(n, ell, t=2):
+        calls.append(ell)
+        return orbit_count(n, ell, t)
+
+    monkeypatch.setattr("cwmat.search.orbit_count", counting)
+    spec = _spec(63, "1^1 3^1 6^1", "6^1")
+    assert sum(1 for _ in _assignments(spec)) == spec.assignment_count
+    assert sorted(calls) == [1, 3, 6]
 
 
 @pytest.mark.parametrize(
@@ -301,6 +320,37 @@ def test_cross_check_searches_exactly_the_pairs_z_n_hosts(monkeypatch):
         for pair in cross_pairs(16, 2):
             if pair not in hosted:
                 assert real_search(SearchSpec(n, 16, 2, pair)).candidates_tested == 0
+
+
+@pytest.mark.parametrize(
+    "weight,t,orders",
+    [
+        (16, 2, range(1, 4002, 2)),
+        (4, 3, [n for n in range(1, 1001) if n % 3]),
+        (9, 3, [n for n in range(1, 1001) if n % 3]),
+    ],
+)
+def test_hosted_pairs_keyed_on_gcd_with_m_match_the_per_order_counts(weight, t, orders):
+    """Oracle: the closed-form counts at n itself, not at gcd(n, M)."""
+    pairs = cross_pairs(weight, t)
+    lengths = {ell for pair in pairs for ell, _ in pair.demand}
+    m = _host_modulus(weight, t)
+    _hosted_pairs.cache_clear()
+    for n in orders:
+        counts = {ell: orbit_count(n, ell, t) for ell in lengths}
+        expected = tuple(
+            pair for pair in pairs if all(counts[ell] >= need for ell, need in pair.demand)
+        )
+        assert _hosted_pairs(weight, t, gcd(n, m)) == expected, f"n={n}"
+    assert _hosted_pairs.cache_info().currsize == len({gcd(n, m) for n in orders})
+    assert _hosted_pairs.cache_info().currsize <= len(divisors(m))
+
+
+@pytest.mark.parametrize("n,weight,t", [(9, 16, 3), (15, 16, 3), (21, 4, 3), (6, 16, 2)])
+def test_search_all_pairs_refuses_a_multiplier_that_is_not_a_unit(n, weight, t):
+    # gcd(n, M) is always a unit, so this is checked on n itself
+    with pytest.raises(ValueError, match=f"t={t} is not a unit mod {n}"):
+        _search_all_pairs(n, weight, t)
 
 
 def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
