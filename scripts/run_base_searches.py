@@ -8,6 +8,7 @@ from cwmat import (
     SearchSpec,
     base_orders,
     class_contractible,
+    divisors,
     exhaustive_search,
     feasible_pairs,
     prune,
@@ -32,11 +33,10 @@ def main() -> None:
                 f"{len(report.solutions)} solutions, "
                 f"{len(report.classes)} classes  [{elapsed:.2f}s]"
             )
+            primes = [d for d in divisors(n) if divisors(d) == [1, d]]
             for c in report.classes:
                 tags = [
-                    f"contracts by {d}"
-                    for d in (3, 5, 7)
-                    if n % d == 0 and class_contractible(c.representative, d)
+                    f"contracts by {d}" for d in primes if class_contractible(c.representative, d)
                 ]
                 note = f"  ({', '.join(tags)})" if tags else ""
                 print(f"      size {c.size}  {c.representative.to_string()}{note}")

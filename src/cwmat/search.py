@@ -17,21 +17,26 @@ pigeonhole, the pair has no assignment at all. The search and the
 cross-check both decide this before listing a single orbit, so skipping
 such a pair loses no solution. The count of length-ell orbits depends on
 n only through gcd(n, t^e - 1) for e | ell, and every such t^e - 1
-divides M, the lcm of t^ell - 1 over the lengths the cross pairs use; so
+divides M, the lcm of t^ell - 1 over the lengths the feasible pairs use; so
 the cross-check decides hosting once per g = gcd(n, M), not once per n.
 
 base_orders computes, per part length with multiplicity, which moduli
 can host enough orbits of that length; the lcms of one choice per
-length are the orders worth searching. Solutions at any multiple of a
-base order are lifts of base solutions, which is what full_classification
-exploits: it applies the divisibility rules for weight 16 and, for
-small orders, re-derives the answer by searching from scratch every
-candidate pair that Z_n can host. Every solution is a union of t-orbits,
-so t fixes it up to a shift and its canonical form needs one unit per
-coset of <t> in U(n). Each pair's search already groups its solutions
-under canonical representatives, so the cross-check merges the per-pair
-classes by representative instead of canonicalizing the rows again, and
-matches each rule representative to a class by equal canonical forms.
+length are the orders worth searching. full_classification derives its
+rule from them. A solution at n realizing a pair that survives pruning
+is a lift of one at d, the lcm of the pair's base orders dividing n.
+Lifts of inequivalent rows stay inequivalent: an equivalence restricts
+to their subgroup. At odd n, equivalent rows fixed by t = 2 differ by a
+unit alone (a shift would be a period of the support, and no odd-order
+subgroup tiles 16 points), which keeps the olp, so classes of different
+pairs never merge. The classes at n are thus, pair by pair, the lifts
+of the classes at d; as base orders divide M, the rule too is found
+once per g. For small orders the answer is re-derived by searching
+every pair that Z_n can host from scratch. Every solution is a union of
+t-orbits, so its canonical form needs one unit per coset of <t> in
+U(n). The cross-check merges the per-pair classes by their canonical
+representatives and matches each rule representative to a class by
+equal canonical forms.
 """
 from __future__ import annotations
 
@@ -43,12 +48,14 @@ from math import comb, gcd, lcm
 
 from .multisets import cw_equation_holds
 from .orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
-from .pruning import Demand, Olp, OlpPair, cross_pairs, describing_set_sizes
-# verify_cw and are_equivalent are not called here but stay bound: the
-# benchmark's tracer (perfbench/tracer.py) wraps them in this module.
+from .pruning import (
+    Demand, OlpPair, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
+)
+# cross_pairs, apply_transform, verify_cw and are_equivalent are not called
+# here but stay bound: the benchmark's tracer (perfbench/tracer.py) wraps
+# them in this module, and tests/test_trace_bindings.py requires them.
 from .rows import (
     CirculantRow,
-    EquivalenceWitness,
     apply_transform,
     are_equivalent,
     canonical_form,
@@ -266,63 +273,16 @@ def contract(row: CirculantRow) -> tuple[CirculantRow, int]:
     return base, m
 
 
-def _contraction_witness(row: CirculantRow, d: int) -> EquivalenceWitness | None:
-    """Least-t witness whose image has every support index divisible by d.
-
-    The image support is {t*i + s}; a suitable s exists exactly when all
-    t*i agree mod d, so only units t are scanned.
-    """
-    support = row.support
-    for t in units(row.n):
-        residues = {(t * i) % d for i in support}
-        if len(residues) == 1:
-            return EquivalenceWitness((d - residues.pop()) % d, t)
-    return None
-
-
 def class_contractible(row: CirculantRow, d: int) -> bool:
-    """Whether some equivalent row has all support indices divisible by d."""
+    """Whether some equivalent row has all support indices divisible by d.
+
+    The image support is {u*i + s}; a suitable s exists exactly when all
+    u*i agree mod d, so only units u are scanned.
+    """
     if d < 1 or row.n % d != 0:
         raise ValueError(f"d must divide the order, got d={d}, n={row.n}")
-    if not row.support:
-        return True
-    return _contraction_witness(row, d) is not None
-
-
-def _contract_class(row: CirculantRow, d: int) -> CirculantRow:
-    """A base row whose lift is equivalent to the given row."""
-    witness = _contraction_witness(row, d)
-    if witness is None:
-        raise ValueError(f"class has no representative with support divisible by {d}")
-    base, _ = contract(apply_transform(row, witness))
-    return base
-
-
-@lru_cache(maxsize=None)
-def _base_search(n: int, p_text: str, n_text: str) -> SearchReport:
-    pair = OlpPair(Olp.from_string(p_text), Olp.from_string(n_text))
-    return exhaustive_search(SearchSpec(n, 16, 2, pair))
-
-
-def _reps_31() -> tuple[CirculantRow, CirculantRow]:
-    report = _base_search(31, "5^2", "1^1 5^1")
-    if len(report.classes) != 2:
-        raise RuntimeError(f"expected 2 classes at order 31, found {len(report.classes)}")
-    a, b = (c.representative for c in report.classes)
-    return a, b
-
-
-def _split_63() -> tuple[CirculantRow, CirculantRow]:
-    """(non-3-contractible representative at 63, contracted row at 21)."""
-    report = _base_search(63, "1^1 3^1 6^1", "6^1")
-    fresh = [c.representative for c in report.classes if not class_contractible(c.representative, 3)]
-    lifted = [c.representative for c in report.classes if class_contractible(c.representative, 3)]
-    if len(fresh) != 1 or len(lifted) != 1:
-        raise RuntimeError(
-            f"expected one 3-contractible and one incompressible class at 63, "
-            f"found {len(lifted)} and {len(fresh)}"
-        )
-    return fresh[0], _contract_class(lifted[0], 3)
+    support = row.support
+    return any(len({(u * i) % d for i in support}) <= 1 for u in units(row.n))
 
 
 @dataclass(frozen=True)
@@ -347,26 +307,56 @@ def _cross_check_error(what: str, reps, classes) -> RuntimeError:
 
 
 @lru_cache(maxsize=None)
-def _cross_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ...]:
-    """Every cross pair with its demand; they depend on (weight, t) only."""
-    return tuple((pair, pair.demand) for pair in cross_pairs(weight, t))
+def _feasible_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ...]:
+    """Every feasible pair with its demand; no Z_n hosts any other cross pair."""
+    return tuple((pair, pair.demand) for pair in feasible_pairs(weight, t))
 
 
 @lru_cache(maxsize=None)
 def _host_modulus(weight: int, t: int) -> int:
-    """M: the lcm of t^ell - 1 over every length the cross pairs use."""
-    return lcm(*(t**ell - 1 for _, demand in _cross_pair_demands(weight, t) for ell, _ in demand))
+    """M: the lcm of t^ell - 1 over every length the feasible pairs use."""
+    pairs = _feasible_pair_demands(weight, t)
+    return lcm(*(t**ell - 1 for _, demand in pairs for ell, _ in demand))
 
 
 @lru_cache(maxsize=None)
 def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
-    """The cross pairs, in order, whose demand Z_g can host, for g dividing M."""
-    pairs = _cross_pair_demands(weight, t)
+    """The feasible pairs, in order, whose demand Z_g can host, for g dividing M."""
+    pairs = _feasible_pair_demands(weight, t)
     lengths = {ell for _, demand in pairs for ell, _ in demand}
     counts = {ell: orbit_count(g, ell, t) for ell in lengths}
     return tuple(
         pair for pair, demand in pairs if all(counts[ell] >= need for ell, need in demand)
     )
+
+
+@lru_cache(maxsize=None)
+def _survives(pair: OlpPair, t: int) -> bool:
+    """Whether the pair survives counting-level pruning, pruned once."""
+    return bool(survivors(prune([pair], t=t)))
+
+
+@lru_cache(maxsize=None)
+def _base_classes(pair: OlpPair, weight: int, t: int, d: int) -> tuple[EquivalenceClass, ...]:
+    """The pair's classes at order d, searched once."""
+    return exhaustive_search(SearchSpec(d, weight, t, pair)).classes
+
+
+@lru_cache(maxsize=None)
+def _rule_bases(weight: int, t: int, g: int) -> tuple[CirculantRow, ...]:
+    """Base representatives of the classes at every odd n with gcd(n, M) = g.
+
+    For each pair that Z_g hosts and that survives pruning, in order, the
+    class representatives at d, the lcm of the pair's base orders that
+    divide g (those that divide n, as base orders divide M). The classes
+    at n are their lifts (see the module docstring).
+    """
+    reps = []
+    for pair in _hosted_pairs(weight, t, g):
+        if _survives(pair, t):
+            d = lcm(*(b for b in base_orders(pair, t) if g % b == 0))
+            reps.extend(c.representative for c in _base_classes(pair, weight, t, d))
+    return tuple(reps)
 
 
 def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
@@ -376,9 +366,10 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass
     orbits of some length than orbit_count gives has no assignment, so
     skipping it is exact. That count at n equals the count at
     g = gcd(n, M) (see _host_modulus), so the hosted pairs are computed
-    once per g, one entry per divisor of M. Rows of different pairs can
-    be equivalent (lifts, as at n = 63), so the per-pair classes are
-    merged by their canonical representative.
+    once per g, one entry per divisor of M. Rows of different pairs are
+    never equivalent (see the module docstring), but the per-pair classes
+    are merged by their canonical representative all the same, so the
+    cross-check does not rest on that argument.
     """
     ModulusContext(n, t)  # raises unless n >= 1 and t is a unit mod n; g always is one
     hosted = _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t)))
@@ -399,31 +390,28 @@ def check_classified_weight(weight: int) -> None:
 def full_classification(
     weight: int, n: int, cross_check: bool | None = None
 ) -> ClassificationResult:
-    """Equivalence classes of CW(n, 16) for odd n, by the divisibility rules.
+    """Equivalence classes of CW(n, 16) for odd n, derived from the pipeline.
 
-    Classes are lifts of base representatives: two at order 31, one new
-    at order 63, one at order 21, giving 2*[31|n] + [63|n] + [21|n]
-    classes. cross_check (default: on for n <= 105) re-derives the
-    answer by exhaustive search over every candidate olp pair, merges
-    the per-pair classes by their canonical representative, finds each
-    rule representative's class by equal canonical forms, and fails
-    loudly on any mismatch.
+    For each olp pair that survives pruning, in order, the classes are
+    the lifts of the classes found at the lcm of the pair's base orders
+    that divide n; this reproduces the paper's count of classes.
+    cross_check (default: on for n <= 105) re-derives the answer by
+    exhaustive search over every candidate olp pair, merges the per-pair
+    classes by their canonical representative, finds each rule
+    representative's class by equal canonical forms, and fails loudly on
+    any mismatch.
     """
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {n}")
-    reps: list[CirculantRow] = []
-    if n % 31 == 0:
-        reps.extend(lift(r, n // 31) for r in _reps_31())
-    if n % 63 == 0:
-        reps.append(lift(_split_63()[0], n // 63))
-    if n % 21 == 0:
-        reps.append(lift(_split_63()[1], n // 21))
+    # The multiplier premise: for weight 16 and odd n, 2 is a multiplier.
+    t = 2
+    g = gcd(n, _host_modulus(weight, t))
+    reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, g)]
 
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        t = 2
         classes = _search_all_pairs(n, weight, t)
         if len(classes) != len(reps):
             raise _cross_check_error(

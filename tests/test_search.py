@@ -39,6 +39,7 @@ from cwmat.search import (
     _assignments,
     _host_modulus,
     _hosted_pairs,
+    _rule_bases,
     _search_all_pairs,
 )
 from golden import (
@@ -278,13 +279,12 @@ def test_assignments_are_lazy_across_lengths():
 
 @pytest.mark.parametrize("n", [35, 45, 63, 77, 93, 99, 135, 155, 189, 315, 341])
 def test_merged_pair_classes_equal_classify_of_all_solutions(n):
-    solutions = [
-        row
-        for pair in cross_pairs(16, 2)
-        for row in exhaustive_search(SearchSpec(n, 16, 2, pair)).solutions
-    ]
+    reports = [exhaustive_search(SearchSpec(n, 16, 2, pair)) for pair in cross_pairs(16, 2)]
+    solutions = [row for report in reports for row in report.solutions]
     merged = _search_all_pairs(n, 16)
     assert merged == classify(solutions)
+    # no class spans two pairs, which the derived rule relies on
+    assert sum(len(report.classes) for report in reports) == len(merged)
     keys = [sort_key(c.representative) for c in merged]
     assert keys == sorted(set(keys))
     for c in merged:
@@ -344,6 +344,23 @@ def test_hosted_pairs_keyed_on_gcd_with_m_match_the_per_order_counts(weight, t, 
         assert _hosted_pairs(weight, t, gcd(n, m)) == expected, f"n={n}"
     assert _hosted_pairs.cache_info().currsize == len({gcd(n, m) for n in orders})
     assert _hosted_pairs.cache_info().currsize <= len(divisors(m))
+
+
+@pytest.mark.parametrize("weight,t,base", [(4, 2, 7), (9, 3, 13)])
+def test_derived_rule_matches_the_search_beyond_weight_16(weight, t, base):
+    """Classes exist exactly when 7 | n (W = 4, Eades-Hain) or, among n
+    prime to 3, 13 | n (W = 9, Ang-Arasu-Ma-Strassler)."""
+    m = _host_modulus(weight, t)
+    for n in range(1, 400, 2):
+        if gcd(n, t) != 1:
+            continue
+        reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, gcd(n, m))]
+        classes = _search_all_pairs(n, weight, t)
+        assert len(reps) == len(classes), f"n={n}"
+        assert (len(reps) > 0) == (n % base == 0), f"n={n}"
+        assert sorted(sort_key(canonical_form(r, multiplier=t)) for r in reps) == [
+            sort_key(c.representative) for c in classes
+        ], f"n={n}"
 
 
 @pytest.mark.parametrize("n,weight,t", [(9, 16, 3), (15, 16, 3), (21, 4, 3), (6, 16, 2)])
@@ -473,9 +490,27 @@ def test_full_classification_by_rule_only():
             assert are_equivalent(reps[i], reps[j]) is None
 
 
+def test_full_classification_lifts_the_base_classes_in_pair_order():
+    def reps(d, p, np_):
+        return [c.representative for c in exhaustive_search(_spec(d, p, np_)).classes]
+
+    at_31 = reps(31, "5^2", "1^1 5^1")
+    at_63 = reps(63, "1^1 3^1 6^1", "6^1")
+    at_21 = reps(21, "1^1 3^1 6^1", "6^1")
+    # 651 = 21 * 31 and 1953 = 63 * 31; at 63 the class of 21 is a lift
+    assert full_classification(16, 651).classes == tuple(
+        [lift(r, 21) for r in at_31] + [lift(r, 31) for r in at_21]
+    )
+    assert full_classification(16, 1953).classes == tuple(
+        [lift(r, 63) for r in at_31] + [lift(r, 31) for r in at_63]
+    )
+    assert not class_contractible(at_63[0], 3)
+    assert canonical_form(lift(at_21[0], 3), multiplier=2) == at_63[1]
+
+
 @pytest.mark.parametrize("wrong", [(W1, W1), (W1, W2, W1)])
 def test_cross_check_failure_names_both_sides(monkeypatch, wrong):
-    monkeypatch.setattr("cwmat.search._reps_31", lambda: wrong)
+    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: wrong)
     with pytest.raises(RuntimeError) as exc:
         full_classification(16, 31)
     rule_side, search_side = str(exc.value).split("search class representatives")
