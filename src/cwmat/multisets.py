@@ -95,8 +95,10 @@ def adjoin(a: ResidueMultiset, b: ResidueMultiset) -> ResidueMultiset:
 
 
 def cw_equation_holds(P, N, n: int) -> bool:
-    """Whether delta(P) & delta(N) equals delta_bar(P, N)."""
+    """Whether delta(P) & delta(N) equals delta_bar(P, N), one Counter per side."""
     P, N = set(P), set(N)
     if P & N:
         raise ValueError(f"P and N overlap: {sorted(P & N)}")
-    return adjoin(delta(P, n), delta(N, n)) == delta_bar(P, N, n)
+    within = Counter((x - y) % n for X in (P, N) for x in X for y in X if x != y)
+    cross = Counter((d * (p - q)) % n for p in P for q in N for d in (1, -1))
+    return within == cross

@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .orbits import units
@@ -252,8 +253,9 @@ def are_equivalent(r1: CirculantRow, r2: CirculantRow) -> EquivalenceWitness | N
     return EquivalenceWitness(s, t)
 
 
-def _coset_leaders(n: int, t: int) -> list[int]:
-    """Least unit of each coset u<t> of U(n), ascending.
+@lru_cache(maxsize=None)
+def _coset_leaders(n: int, t: int) -> tuple[int, ...]:
+    """Least unit of each coset u<t> of U(n), ascending; computed once per (n, t).
 
     The coset of u is its cycle u, u*t, u*t^2, ... (mod n).
     """
@@ -265,7 +267,7 @@ def _coset_leaders(n: int, t: int) -> list[int]:
             while not covered[u]:
                 covered[u] = 1
                 u = u * t % n
-    return leaders
+    return tuple(leaders)
 
 
 def canonical_form(row: CirculantRow, multiplier: int | None = None) -> CirculantRow:

@@ -32,9 +32,11 @@ subgroup tiles 16 points), which keeps the olp, so classes of different
 pairs never merge. The classes at n are thus, pair by pair, the lifts
 of the classes at d; as base orders divide M, the rule too is found
 once per g. For small orders the answer is re-derived by searching
-every pair that Z_n can host from scratch. Every solution is a union of
-t-orbits, so its canonical form needs one unit per coset of <t> in
-U(n). The cross-check merges the per-pair classes by their canonical
+every pair that Z_n can host from scratch. It canonicalizes once per
+class, not per row: a new hit (a union of t-orbits, so one unit per
+coset of <t> in U(n) is scanned) records its images row(x^u), u a coset
+leader, under its form, and a later hit among them needs no call. The
+cross-check merges the per-pair classes by their canonical
 representatives and matches each rule representative to a class by
 equal canonical forms.
 """
@@ -56,13 +58,13 @@ from .pruning import (
 # them in this module, and tests/test_trace_bindings.py requires them.
 from .rows import (
     CirculantRow,
+    _coset_leaders,
     apply_transform,
     are_equivalent,
     canonical_form,
     canonical_form_up_to_negation,
     from_sets,
     normalize_sign,
-    sort_key,
     verify_cw,
     verify_sets,
 )
@@ -152,18 +154,19 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
     lengths = [ell for ell, _ in spec.pair.demand]
-    available = {ell: orbits_of_length(ctx, ell) for ell in lengths}
+    available = {ell: [o.elements for o in orbits_of_length(ctx, ell)] for ell in lengths}
 
     def extend(k: int, P: tuple, N: tuple) -> Iterator[tuple[frozenset, frozenset]]:
         if k == len(lengths):
             yield frozenset(P), frozenset(N)
             return
         ell = lengths[k]
-        for p_sel in itertools.combinations(available[ell], p_mults.get(ell, 0)):
-            rest = [o for o in available[ell] if o not in p_sel]
-            more_p = P + tuple(x for orb in p_sel for x in orb.elements)
+        orbs = available[ell]
+        for p_sel in itertools.combinations(range(len(orbs)), p_mults.get(ell, 0)):
+            rest = [i for i in range(len(orbs)) if i not in p_sel]
+            more_p = P + tuple(x for i in p_sel for x in orbs[i])
             for n_sel in itertools.combinations(rest, n_mults.get(ell, 0)):
-                yield from extend(k + 1, more_p, N + tuple(x for orb in n_sel for x in orb.elements))
+                yield from extend(k + 1, more_p, N + tuple(x for i in n_sel for x in orbs[i]))
 
     yield from extend(0, (), ())
 
@@ -176,9 +179,10 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     in enumeration order. Raises RuntimeError if a hit fails the
     difference-multiset equation.
     """
-    n = spec.n
+    n, t = spec.n, spec.t
     tested = 0
     seen: dict[tuple, CirculantRow] = {}
+    canon: dict[tuple, CirculantRow] = {}  # coeffs of a row(x^u) -> its canonical form
     for P, N in _assignments(spec):
         tested += 1
         if verify_sets(n, P, N) != spec.weight:
@@ -191,7 +195,15 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
             )
         row = normalize_sign(row)
         seen.setdefault(row.coeffs, row)
-    classes = _group((canonical_form(row, multiplier=spec.t), row) for row in seen.values())
+        if row.coeffs not in canon:
+            rep = canonical_form(row, multiplier=t)
+            support = row.support
+            for u in _coset_leaders(n, t):
+                image = [0] * n
+                for i in support:
+                    image[u * i % n] = row.coeffs[i]
+                canon[tuple(image)] = rep
+    classes = _group((canon[row.coeffs], row) for row in seen.values())
     class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
     solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
     return SearchReport(spec, tested, tuple(solutions), classes)
@@ -213,18 +225,15 @@ def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]
 def _group(pairs: Iterable[tuple[CirculantRow, CirculantRow]]) -> tuple[EquivalenceClass, ...]:
     """Classes from (canonical representative, row) pairs.
 
-    Equal representatives mean one class; members are sorted by
-    sort_key and classes by their representative.
+    Equal representatives mean one class; members and classes are
+    sorted by coefficients (-1 < 0 < +1, the row order).
     """
-    groups: dict[str, list[CirculantRow]] = {}
-    reps: dict[str, CirculantRow] = {}
+    groups: dict[tuple, tuple[CirculantRow, list[CirculantRow]]] = {}
     for rep, row in pairs:
-        key = sort_key(rep)
-        groups.setdefault(key, []).append(row)
-        reps.setdefault(key, rep)
+        groups.setdefault(rep.coeffs, (rep, []))[1].append(row)
     return tuple(
-        EquivalenceClass(reps[key], tuple(sorted(groups[key], key=sort_key)))
-        for key in sorted(groups)
+        EquivalenceClass(rep, tuple(sorted(rows, key=lambda r: r.coeffs)))
+        for _, (rep, rows) in sorted(groups.items())
     )
 
 

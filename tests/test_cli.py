@@ -181,6 +181,28 @@ def test_prune_json_matches_parent_output(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PARENT_PRUNE_JSON_SHA256[argv]
 
 
+# sha256 of the stdout of these commands at commit 7462058, the parent of
+# canonicalizing once per class in the search: solution order, class
+# order and member order are regression references, not independent results.
+PARENT_SEARCH_JSON_SHA256 = {
+    ("search", "63", "16", "1^1 3^1 6^1", "6^1", "--format", "json"):
+        "163df212ce8c11702eca81af3e1d29e2f200e4b186584cb2ab14550264e8300f",
+    ("search", "315", "16", "1^1 3^1 6^1", "6^1", "--format", "json"):
+        "650ade14e22943a775ec0122efcc2716d463403656eb48ce405c903f79c2f1c0",
+    ("search", "63", "16", "1^1 3^1 6^1", "6^1", "--with-negation", "--format", "json"):
+        "bdc78085ce329a1e38826e91345aa7f721a1116c3f7271fa4b0b5f38fa55ae2e",
+    ("classify", "16", "--max-n", "341", "--format", "json"):
+        "d2555851ead59514190eb0420a4615824a56c80cd64965d14756e8e6b4572bdd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARENT_SEARCH_JSON_SHA256))
+def test_search_and_classify_json_match_parent_output(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PARENT_SEARCH_JSON_SHA256[argv]
+
+
 def test_prune_refuses_an_oversized_pair_grid(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "prune", "81")

@@ -8,19 +8,29 @@ from hypothesis import strategies as st
 
 from cwmat import (
     CirculantRow,
+    EquivalenceWitness,
     ResidueMultiset,
     adjoin,
+    apply_transform,
     cw_equation_holds,
     delta,
     delta_bar,
     describing_sets,
+    from_sets,
+    units,
     verify_cw,
 )
 from golden import (
     KNOWN_CW_7_4_N,
     KNOWN_CW_7_4_P,
+    KNOWN_CW_13_9_N,
+    KNOWN_CW_13_9_P,
+    W0_21_N,
+    W0_21_P,
     W1_31_N,
     W1_31_P,
+    W2_31_N,
+    W2_31_P,
 )
 
 small_sets = st.integers(min_value=2, max_value=30).flatmap(
@@ -126,6 +136,47 @@ def test_cw_equation_matches_autocorrelation_vanishing(r):
     condition: no ternary row separates the two checks."""
     sets = describing_sets(r)
     assert cw_equation_holds(sets.P, sets.N, r.n) == (verify_cw(r) is not None)
+
+
+def _disjoint_sets(n: int):
+    sets = st.sets(st.integers(0, n - 1), max_size=12)
+    return st.tuples(st.just(n), sets, sets).map(lambda c: (n, c[1], c[2] - c[1]))
+
+
+CW_ROWS = [
+    from_sets(7, KNOWN_CW_7_4_P, KNOWN_CW_7_4_N),
+    from_sets(13, KNOWN_CW_13_9_P, KNOWN_CW_13_9_N),
+    from_sets(21, W0_21_P, W0_21_N),
+    from_sets(31, W1_31_P, W1_31_N),
+    from_sets(31, W2_31_P, W2_31_N),
+]
+
+
+def _image_sets(r: CirculantRow):
+    """Describing sets of x^s * (+-r)(x^u): weighing rows again."""
+
+    def image(c):
+        s, u, negate = c
+        sets = describing_sets(apply_transform(-r if negate else r, EquivalenceWitness(s, u)))
+        return r.n, set(sets.P), set(sets.N)
+
+    return st.tuples(st.integers(0, r.n - 1), st.sampled_from(units(r.n)), st.booleans()).map(image)
+
+
+disjoint_sets = st.integers(min_value=1, max_value=40).flatmap(_disjoint_sets)
+cw_sets = st.sampled_from(CW_ROWS).flatmap(_image_sets)
+
+
+@given(st.one_of(disjoint_sets, cw_sets))
+def test_cw_equation_holds_matches_the_multiset_reference(case):
+    n, P, N = case
+    assert cw_equation_holds(P, N, n) == (adjoin(delta(P, n), delta(N, n)) == delta_bar(P, N, n))
+
+
+@given(cw_sets)
+def test_cw_equation_holds_on_images_of_weighing_rows(case):
+    n, P, N = case
+    assert cw_equation_holds(P, N, n)
 
 
 @given(small_sets)

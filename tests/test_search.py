@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cwmat import (
     CirculantRow,
+    EquivalenceClass,
     Olp,
     OlpPair,
     SearchReport,
@@ -226,6 +227,67 @@ def test_search_solutions_sorted_by_canonical_form(n, p, np_):
             distinct.setdefault(row.coeffs, row)
     expected = sorted(distinct.values(), key=lambda r: sort_key(canonical_form(r)))
     assert exhaustive_search(spec).solutions == tuple(expected)
+
+
+def _per_row_report(spec: SearchSpec) -> SearchReport:
+    """The search with every distinct hit canonicalized, classes keyed
+    and members sorted by sort_key: the path before per-class reuse."""
+    tested, distinct = 0, {}
+    for P, N in _assignments(spec):
+        tested += 1
+        row = from_sets(spec.n, P, N)
+        if verify_cw(row) == spec.weight:
+            row = normalize_sign(row)
+            distinct.setdefault(row.coeffs, row)
+    groups = {}
+    for row in distinct.values():
+        rep = canonical_form(row, multiplier=spec.t)
+        groups.setdefault(sort_key(rep), (rep, []))[1].append(row)
+    classes = tuple(
+        EquivalenceClass(rep, tuple(sorted(rows, key=sort_key)))
+        for _, (rep, rows) in sorted(groups.items())
+    )
+    class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
+    solutions = sorted(distinct.values(), key=lambda r: class_of[r.coeffs])
+    return SearchReport(spec, tested, tuple(solutions), classes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _spec(63, "1^1 3^1 6^1", "6^1"),
+        _spec(315, "1^1 3^1 6^1", "6^1"),
+        SearchSpec(13, 9, 3, _pair("3^2", "3^1")),
+    ],
+)
+def test_search_canonicalizes_once_per_class(monkeypatch, spec):
+    expected = _per_row_report(spec)
+    calls = []
+
+    def counted(row, multiplier=None):
+        calls.append(row)
+        return canonical_form(row, multiplier=multiplier)
+
+    monkeypatch.setattr("cwmat.search.canonical_form", counted)
+    report = exhaustive_search(spec)
+    assert report == expected
+    assert len(report.solutions) > len(report.classes) > 0
+    assert len(calls) <= len(report.classes)
+
+
+def test_a_search_without_hits_canonicalizes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search without hits must not canonicalize")
+
+    for name in ("canonical_form", "_coset_leaders", "units"):
+        monkeypatch.setattr(f"cwmat.search.{name}", refuse)
+    monkeypatch.setattr("cwmat.rows.units", refuse)
+    hosted = _hosted_pairs(16, 2, gcd(45, _host_modulus(16, 2)))
+    assert hosted
+    for pair in hosted:
+        report = exhaustive_search(SearchSpec(45, 16, 2, pair))
+        assert report.candidates_tested > 0
+        assert report.classes == ()
 
 
 @pytest.mark.parametrize(
