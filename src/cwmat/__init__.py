@@ -4,12 +4,9 @@ from .multisets import ResidueMultiset, adjoin, cw_equation_holds, delta, delta_
 from .orbits import (
     ModulusContext,
     Orbit,
-    all_orbits,
     divisors,
-    length_table,
     orbit_count,
     orbit_count_cap,
-    orbit_length,
     orbit_of,
     orbits_of_length,
     required_divisors,
@@ -104,7 +101,6 @@ __all__ = [
     "SearchReport",
     "SearchSpec",
     "adjoin",
-    "all_orbits",
     "apply_transform",
     "are_equivalent",
     "base_orders",
@@ -132,14 +128,12 @@ __all__ = [
     "full_classification",
     "kronecker",
     "length_count_bounds",
-    "length_table",
     "lift",
     "multiplier_shift",
     "normalize_sign",
     "olp_of_set",
     "orbit_count",
     "orbit_count_cap",
-    "orbit_length",
     "orbit_of",
     "orbits_of_length",
     "periodic_autocorrelation",

@@ -96,34 +96,6 @@ def orbit_of(a: int, ctx: ModulusContext) -> Orbit:
     return Orbit(tuple(cycle[i:] + cycle[:i]))
 
 
-def orbit_length(a: int, ctx: ModulusContext) -> int:
-    """ol(a): the length of the t-orbit through a."""
-    return orbit_of(a, ctx).length
-
-
-def length_table(ctx: ModulusContext) -> list[int]:
-    """ol(a) for every a in Z_n, computed in one sweep over the orbits."""
-    table = [0] * ctx.n
-    for orb in all_orbits(ctx):
-        for y in orb.elements:
-            table[y] = orb.length
-    return table
-
-
-def all_orbits(ctx: ModulusContext) -> list[Orbit]:
-    """Every t-orbit of Z_n, sorted by canonical generator."""
-    seen = [False] * ctx.n
-    out = []
-    for a in range(ctx.n):
-        if seen[a]:
-            continue
-        orb = orbit_of(a, ctx)
-        for y in orb.elements:
-            seen[y] = True
-        out.append(orb)
-    return out
-
-
 def orbits_of_length(ctx: ModulusContext, i: int) -> list[Orbit]:
     """All orbits of length exactly i, sorted by canonical generator.
 

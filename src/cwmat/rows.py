@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .orbits import units
 
@@ -122,37 +123,64 @@ def periodic_autocorrelation(row: CirculantRow, lag: int) -> int:
     return sum(c[i] * c[(i + lag) % n] for i in row.support)
 
 
+def _weighing(n: int, support, pm: int, nm: int, t: int) -> bool:
+    """Whether +1 on the bits of pm and -1 on those of nm (bit i is index
+    i of Z_n) have periodic autocorrelation 0 at every nonzero lag.
+
+    support lists the set bits of pm | nm. A lag that is no difference
+    j - i of two support indices has autocorrelation 0, so only those are
+    tried, and the first nonzero one ends the test. Rotating the masks by
+    a lag s lines w_{x+s} up with w_x: the sum at s is the number of
+    equal-sign pairs minus the number of nonzero pairs that differ, so it
+    vanishes iff 2 * |(P & P_s) | (N & N_s)| = |(P | N) & (P_s | N_s)|.
+    The sum at -s is the same, and so is the sum at t*s when P and N are
+    unions of t-orbits (x -> t*x permutes the pairs), so a lag that
+    passes marks its whole orbit {+-t^j s} as tried. t = 1 marks s and
+    n - s only, which holds for any P and N.
+    """
+    sm = pm | nm
+    tried = {0}
+    for i in support:
+        for j in support:
+            s = (j - i) % n
+            if s in tried:
+                continue
+            r = n - s
+            ps = (pm >> s) | (pm << r)
+            ns = (nm >> s) | (nm << r)
+            if 2 * ((pm & ps) | (nm & ns)).bit_count() != (sm & (ps | ns)).bit_count():
+                return False
+            while s not in tried:
+                tried.add(s)
+                tried.add(n - s)
+                s = s * t % n
+    return True
+
+
 def verify_sets(n: int, P, N) -> int | None:
     """Weight |P| + |N| if +1 on P and -1 on N is a circulant weighing row
     of order n, else None.
 
-    The periodic autocorrelation, summed over the sign map of the support
-    only, so no row is built. A lag that is no difference j - i of two
-    support indices has autocorrelation 0, so only those lags are tried,
-    each once together with its mirror n - lag, and the first nonzero one
-    ends the test: O(k^2) work for k support entries, whatever n is.
+    The describing sets become two n-bit masks and are tested by lag
+    rotation (_weighing with t = 1), so no row is built. Each of the at
+    most k(k - 1)/2 lag pairs {s, n - s} that differences of the k
+    support indices reach costs a few shifts and popcounts of n-bit
+    integers, O(n / word size) each; the first nonzero lag ends the test.
     Overlapping or out-of-range indices raise ValueError, as in from_sets.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    P, N = frozenset(P), frozenset(N)
-    sign = dict.fromkeys(P, 1)
-    sign.update(dict.fromkeys(N, -1))
-    if len(sign) != len(P) + len(N):
+    # Python ints: a fixed-width integer (numpy's) would wrap in the masks.
+    P, N = frozenset(map(index, P)), frozenset(map(index, N))
+    if P & N:
         raise ValueError(f"P and N overlap: {sorted(P & N)}")
-    for i in sign:
+    support = (*P, *N)
+    for i in support:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for order {n}")
-    items = sign.items()
-    tried = {0}
-    for i in sign:
-        for j in sign:
-            lag = (j - i) % n
-            if lag not in tried:
-                tried.update((lag, n - lag))
-                if sum(c * sign.get((x + lag) % n, 0) for x, c in items) != 0:
-                    return None
-    return len(sign)
+    pm = sum(1 << i for i in P)
+    nm = sum(1 << i for i in N)
+    return len(support) if _weighing(n, support, pm, nm, 1) else None
 
 
 def verify_cw(row: CirculantRow) -> int | None:

@@ -4,11 +4,14 @@ A normalized weighing row fixed by multiplier t has describing sets that
 are unions of t-orbits, so for a given (olp(P), olp(N)) pair the search
 space is the set of assignments of distinct orbits to parts. Orbits of
 equal length within one side are interchangeable (combinations, not
-permutations); the two sides are ordered. Every assignment is checked
-on its describing sets by verify_sets (the autocorrelation test, with no
-row built); only the hits are built into rows, and each hit is also
-checked against the difference-multiset equation, an independent
-formulation, so a disagreement between the two fails loudly.
+permutations); the two sides are ordered. Each assignment is carried as
+two bitmasks, the ORs of one mask per chosen orbit, and checked by the
+autocorrelation kernel of rows (_weighing), with no row built. As t
+fixes P and N, the autocorrelation is constant on each orbit {+-t^j s}
+of lags, so one lag per orbit is tested. Only distinct hits are built
+into rows, and each hit is also checked against the difference-multiset
+equation, an independent formulation, so a disagreement between the two
+fails loudly.
 
 A pair's demand is the number of orbits of each length it uses, P and
 N sides together. Z_n can host the pair only if, for every length, the
@@ -55,18 +58,18 @@ from .pruning import (
 )
 # cross_pairs, apply_transform, verify_cw and are_equivalent are not called
 # here but stay bound: the benchmark's tracer (perfbench/tracer.py) wraps
-# them in this module, and tests/test_trace_bindings.py requires them.
+# them in this module, and tests/test_trace_bindings.py requires them. The
+# candidate test, _weighing, is not a traced layer: its time is the search's.
 from .rows import (
     CirculantRow,
     _coset_leaders,
+    _weighing,
     apply_transform,
     are_equivalent,
     canonical_form,
     canonical_form_up_to_negation,
     from_sets,
-    normalize_sign,
     verify_cw,
-    verify_sets,
 )
 
 
@@ -140,13 +143,15 @@ class SearchReport:
     classes: tuple[EquivalenceClass, ...]
 
 
-def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
-    """Every (P, N) choice of distinct orbits matching the olp pair, lazily.
+def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
+    """Every (P, N) choice of distinct orbits matching the olp pair, lazily,
+    as (P mask, N mask, P, N): bit x of a mask stands for residue x, and
+    P and N list their residues orbit by orbit.
 
     Orbits are listed only when the closed-form counts show that Z_n
-    hosts the pair. The choices are nested one length at a time, the
-    first length outermost, so memory stays bounded by the orbit lists
-    whatever the number of assignments.
+    hosts the pair, each once with its mask. The choices are nested one
+    length at a time, the first length outermost, so memory stays bounded
+    by the orbit lists whatever the number of assignments.
     """
     if spec.assignment_count == 0:
         return
@@ -154,21 +159,31 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[frozenset, frozenset]]:
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
     lengths = [ell for ell, _ in spec.pair.demand]
-    available = {ell: [o.elements for o in orbits_of_length(ctx, ell)] for ell in lengths}
+    available = {
+        ell: [(sum(1 << x for x in o.elements), o.elements) for o in orbits_of_length(ctx, ell)]
+        for ell in lengths
+    }
 
-    def extend(k: int, P: tuple, N: tuple) -> Iterator[tuple[frozenset, frozenset]]:
+    def extend(k: int, pm: int, nm: int, P: tuple, N: tuple) -> Iterator[tuple]:
         if k == len(lengths):
-            yield frozenset(P), frozenset(N)
+            yield pm, nm, P, N
             return
         ell = lengths[k]
         orbs = available[ell]
         for p_sel in itertools.combinations(range(len(orbs)), p_mults.get(ell, 0)):
             rest = [i for i in range(len(orbs)) if i not in p_sel]
-            more_p = P + tuple(x for i in p_sel for x in orbs[i])
+            more_pm, more_p = pm, P
+            for i in p_sel:
+                more_pm |= orbs[i][0]
+                more_p += orbs[i][1]
             for n_sel in itertools.combinations(rest, n_mults.get(ell, 0)):
-                yield from extend(k + 1, more_p, N + tuple(x for i in n_sel for x in orbs[i]))
+                more_nm, more_n = nm, N
+                for i in n_sel:
+                    more_nm |= orbs[i][0]
+                    more_n += orbs[i][1]
+                yield from extend(k + 1, more_pm, more_nm, more_p, more_n)
 
-    yield from extend(0, (), ())
+    yield from extend(0, 0, 0, (), ())
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchReport:
@@ -181,29 +196,26 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     """
     n, t = spec.n, spec.t
     tested = 0
-    seen: dict[tuple, CirculantRow] = {}
-    canon: dict[tuple, CirculantRow] = {}  # coeffs of a row(x^u) -> its canonical form
-    for P, N in _assignments(spec):
+    seen: dict[tuple[int, int], CirculantRow] = {}
+    canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
+    for pm, nm, P, N in _assignments(spec):
         tested += 1
-        if verify_sets(n, P, N) != spec.weight:
+        if not _weighing(n, P + N, pm, nm, t):
             continue
-        row = from_sets(n, P, N)
         if not cw_equation_holds(P, N, n):
             raise RuntimeError(
                 f"autocorrelation and the difference-multiset equation disagree "
-                f"at n={n} on {row.to_string()}"
+                f"at n={n} on {from_sets(n, P, N).to_string()}"
             )
-        row = normalize_sign(row)
-        seen.setdefault(row.coeffs, row)
-        if row.coeffs not in canon:
+        if pm.bit_count() < nm.bit_count():  # sign-normalize: more +1 than -1 entries
+            pm, nm, P, N = nm, pm, N, P
+        row = seen[pm, nm] = from_sets(n, P, N)  # distinct assignments, distinct hits
+        if (pm, nm) not in canon:
             rep = canonical_form(row, multiplier=t)
-            support = row.support
             for u in _coset_leaders(n, t):
-                image = [0] * n
-                for i in support:
-                    image[u * i % n] = row.coeffs[i]
-                canon[tuple(image)] = rep
-    classes = _group((canon[row.coeffs], row) for row in seen.values())
+                image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
+                canon[image] = rep
+    classes = _group((canon[key], row) for key, row in seen.items())
     class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
     solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
     return SearchReport(spec, tested, tuple(solutions), classes)

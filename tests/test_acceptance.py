@@ -12,11 +12,9 @@ import time
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
-    ModulusContext,
     Olp,
     OlpPair,
     SearchSpec,
-    all_orbits,
     apply_transform,
     are_equivalent,
     class_contractible,
@@ -31,7 +29,6 @@ from cwmat import (
     feasible_pairs,
     from_sets,
     full_classification,
-    length_table,
     lift,
     multiplier_shift,
     normalize_sign,
@@ -56,6 +53,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
+from orbit_lister import orbit_lengths, t_orbits
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
@@ -273,18 +271,13 @@ def test_criterion_09c_difference_length_candidates_sound():
     inter-orbit difference is among the predicted candidates."""
     checked = 0
     for n in range(3, 1000, 2):
-        ctx = ModulusContext(n, 2)
-        table = length_table(ctx)
-        orbits = all_orbits(ctx)
+        table = orbit_lengths(n, 2)
+        orbits = t_orbits(n, 2)
         for A in orbits:
             for B in orbits:
-                realized = {
-                    table[(x - B.generator) % n]
-                    for x in A.elements
-                    if (x - B.generator) % n
-                }
-                cand = diff_length_candidates(A.length, B.length)
-                assert realized <= cand, (n, A.generator, B.generator)
+                realized = {table[(x - B[0]) % n] for x in A if (x - B[0]) % n}
+                cand = diff_length_candidates(len(A), len(B))
+                assert realized <= cand, (n, A[0], B[0])
                 checked += 1
     assert checked >= 200
 

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 from cwmat import (
     ModulusContext,
-    all_orbits,
     divisors,
-    length_table,
     orbit_count,
     orbit_count_cap,
-    orbit_length,
     orbit_of,
     orbits_of_length,
     required_divisors,
     units,
 )
 from golden import ORBIT_CAPS_T2, ORBITS_LEN5_MOD31, REQUIRED_DIVISOR_CASES
+from orbit_lister import orbit_lengths, t_orbits
 
 odd_orders = st.integers(min_value=0, max_value=250).map(lambda k: 2 * k + 1)
 
@@ -69,9 +67,16 @@ def test_orbit_of_examples():
         orbit_of(31, ctx)
 
 
+def _listed_orbits(ctx: ModulusContext):
+    """Every orbit, from orbits_of_length over the divisors of ord_n(t)."""
+    order = _mult_order(ctx.t, ctx.n)
+    orbits = [o for ell in divisors(order) for o in orbits_of_length(ctx, ell)]
+    return sorted(orbits, key=lambda o: o.generator)
+
+
 def test_orbit_listing_starts_at_minimum_and_cycles():
     ctx = ModulusContext(63, 2)
-    for orbit in all_orbits(ctx):
+    for orbit in _listed_orbits(ctx):
         elems = orbit.elements
         assert elems[0] == min(elems)
         for a, b in zip(elems, elems[1:]):
@@ -83,23 +88,27 @@ def test_orbit_listing_starts_at_minimum_and_cycles():
 def test_orbit_length_is_multiplicative_order(n, seed):
     ctx = ModulusContext(n, 2)
     a = seed % n
-    assert orbit_length(a, ctx) == _mult_order(2, n // math.gcd(n, a))
+    assert orbit_of(a, ctx).length == _mult_order(2, n // math.gcd(n, a))
 
 
 @given(odd_orders)
 def test_all_orbits_partition_the_residues(n):
     ctx = ModulusContext(n, 2)
-    orbits = all_orbits(ctx)
+    orbits = _listed_orbits(ctx)
     seen = [x for o in orbits for x in o.elements]
     assert sorted(seen) == list(range(n))
-    table = length_table(ctx)
+    assert [o.elements for o in orbits] == t_orbits(n, 2)
+    table = orbit_lengths(n, 2)
     for o in orbits:
         for x in o.elements:
             assert table[x] == o.length
+            assert orbit_of(x, ctx) == o
 
 
 def test_length_table_example():
-    assert length_table(ModulusContext(7, 2)) == [1, 3, 3, 3, 3, 3, 3]
+    ctx = ModulusContext(7, 2)
+    lengths = [orbit_of(a, ctx).length for a in range(7)]
+    assert lengths == orbit_lengths(7, 2) == [1, 3, 3, 3, 3, 3, 3]
 
 
 def test_orbits_of_length_examples():

@@ -22,7 +22,6 @@ from cwmat import (
     feasible_pairs,
     feasible_partitions,
     length_count_bounds,
-    length_table,
     olp_of_set,
     orbit_count_cap,
     pol_delta,
@@ -43,6 +42,7 @@ from golden import (
     KNOWN_REJECTION_WITNESSES,
     PARTITIONS_OF_6,
 )
+from orbit_lister import orbit_lengths
 
 # p(0)..p(12)
 PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
@@ -217,7 +217,7 @@ def _brute_candidates(k: int, l: int, max_order: int = 250) -> frozenset[int]:
     """Orbit-difference lengths actually realized at small odd orders."""
     out = set()
     for n in range(3, max_order + 1, 2):
-        table = length_table(ModulusContext(n, 2))
+        table = orbit_lengths(n, 2)
         a_reps = [a for a in range(n) if table[a] == k and a == min(_orb(a, n))]
         b_reps = [b for b in range(n) if table[b] == l and b == min(_orb(b, n))]
         for a in a_reps:

@@ -3,15 +3,14 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
-    ModulusContext,
-    all_orbits,
     apply_transform,
     are_equivalent,
     canonical_form,
@@ -25,6 +24,7 @@ from cwmat import (
     verify_cw,
     verify_sets,
 )
+from cwmat.rows import _weighing
 from golden import (
     KNOWN_CW_7_4,
     KNOWN_CW_13_9,
@@ -38,6 +38,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
+from orbit_lister import t_orbits
 
 
 def rows(max_n: int = 24, coeffs=(-1, 0, 1)):
@@ -128,6 +129,9 @@ def test_verify_sets_examples():
     assert verify_sets(7, {0, 1}, ()) is None
     assert verify_sets(7, (), ()) == 0
     assert verify_sets(1, {0}, ()) == 1
+    # fixed-width indices past the word size
+    assert verify_sets(200, np.array([3, 150]), np.array([199])) is None
+    assert verify_sets(200, np.array([70]), np.array([], dtype=np.int64)) == 1
 
 
 @pytest.mark.parametrize(
@@ -315,19 +319,45 @@ def test_canonical_form_of_constant_rows(n, c):
 
 
 @st.composite
-def orbit_unions(draw, max_n: int = 60):
-    """(row, t): one sign per t-orbit of Z_n, then rotated, for odd n <= max_n
-    and t in {2, 3, 5} prime to n, so t fixes the row up to a shift."""
+def fixed_orbit_unions(draw, max_n: int = 60):
+    """(row, t): one sign per t-orbit of Z_n, for odd n <= max_n and t in
+    {2, 3, 5} prime to n, so t fixes the row."""
     n = draw(st.integers(1, max_n).filter(lambda m: m % 2 == 1))
     t = draw(st.sampled_from([t for t in (2, 3, 5) if math.gcd(t, n) == 1]))
-    orbits = all_orbits(ModulusContext(n, t))
+    orbits = t_orbits(n, t)
     signs = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(orbits), max_size=len(orbits)))
     coeffs = [0] * n
     for orb, c in zip(orbits, signs):
-        for x in orb.elements:
+        for x in orb:
             coeffs[x] = c
-    shift = EquivalenceWitness(draw(st.integers(0, n - 1)), 1)
-    return apply_transform(CirculantRow(n, tuple(coeffs)), shift), t
+    return CirculantRow(n, tuple(coeffs)), t
+
+
+@st.composite
+def orbit_unions(draw, max_n: int = 60):
+    """(row, t): a fixed_orbit_unions row, then rotated, so t fixes the
+    row up to a shift."""
+    r, t = draw(fixed_orbit_unions(max_n))
+    shift = EquivalenceWitness(draw(st.integers(0, r.n - 1)), 1)
+    return apply_transform(r, shift), t
+
+
+# Random orbit signs almost never give a weighing row of weight > 1, so
+# the accept path is pinned by known rows that their multiplier fixes.
+@given(fixed_orbit_unions())
+@example((W1, 2))
+@example((W2, 2))
+@example((CirculantRow.from_string(KNOWN_CW_13_9), 3))
+@example((CirculantRow.from_string(KNOWN_CW_7_4), 2))
+def test_weighing_with_orbit_folding_matches_every_lag(case):
+    """_weighing tries one lag per orbit {+-t^j s}, exact when t fixes P and N."""
+    r, t = case
+    sets = describing_sets(r)
+    pm = sum(1 << i for i in sets.P)
+    nm = sum(1 << i for i in sets.N)
+    expected = all(periodic_autocorrelation(r, lag) == 0 for lag in range(1, r.n))
+    assert _weighing(r.n, r.support, pm, nm, t) == expected
+    assert _weighing(r.n, r.support, pm, nm, 1) == expected
 
 
 @given(orbit_unions())

@@ -31,9 +31,11 @@ from cwmat import (
     multiplier_shift,
     normalize_sign,
     olp_of_set,
+    periodic_autocorrelation,
     sort_key,
     verify_cw,
 )
+from cwmat.rows import _weighing
 from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length
 from cwmat.search import (
     MAX_ASSIGNMENTS,
@@ -69,6 +71,14 @@ def _pair(p: str, n: str) -> OlpPair:
 
 def _spec(n: int, p: str, np_: str) -> SearchSpec:
     return SearchSpec(n, 16, 2, _pair(p, np_))
+
+
+def _mask(indices) -> int:
+    return sum(1 << x for x in indices)
+
+
+def _bits(mask: int, n: int) -> list[int]:
+    return [x for x in range(n) if mask >> x & 1]
 
 
 def test_search_spec_validates():
@@ -199,6 +209,14 @@ def test_search_confirms_each_hit_by_the_difference_multiset_equation(monkeypatc
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
 
 
+def test_weight_zero_search_finds_the_zero_row():
+    # |P| = |N| = 0: sign normalization has nothing to flip
+    report = exhaustive_search(SearchSpec(7, 0, 2, _pair("", "")))
+    zero = CirculantRow(7, (0,) * 7)
+    assert (report.candidates_tested, report.solutions) == (1, (zero,))
+    assert [c.representative for c in report.classes] == [zero]
+
+
 def test_search_infeasible_order_returns_empty():
     # 35 has no orbits of length 5 or 6 under doubling
     report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
@@ -220,7 +238,7 @@ def test_search_infeasible_order_returns_empty():
 def test_search_solutions_sorted_by_canonical_form(n, p, np_):
     spec = _spec(n, p, np_)
     distinct = {}
-    for P, N in _assignments(spec):
+    for _, _, P, N in _assignments(spec):
         row = from_sets(n, P, N)
         if verify_cw(row) == 16:
             row = normalize_sign(row)
@@ -233,7 +251,7 @@ def _per_row_report(spec: SearchSpec) -> SearchReport:
     """The search with every distinct hit canonicalized, classes keyed
     and members sorted by sort_key: the path before per-class reuse."""
     tested, distinct = 0, {}
-    for P, N in _assignments(spec):
+    for _, _, P, N in _assignments(spec):
         tested += 1
         row = from_sets(spec.n, P, N)
         if verify_cw(row) == spec.weight:
@@ -257,7 +275,9 @@ def _per_row_report(spec: SearchSpec) -> SearchReport:
     [
         _spec(63, "1^1 3^1 6^1", "6^1"),
         _spec(315, "1^1 3^1 6^1", "6^1"),
+        _spec(341, "5^2", "1^1 5^1"),
         SearchSpec(13, 9, 3, _pair("3^2", "3^1")),
+        SearchSpec(21, 4, 2, _pair("3^1", "1^1")),
     ],
 )
 def test_search_canonicalizes_once_per_class(monkeypatch, spec):
@@ -273,6 +293,37 @@ def test_search_canonicalizes_once_per_class(monkeypatch, spec):
     assert report == expected
     assert len(report.solutions) > len(report.classes) > 0
     assert len(calls) <= len(report.classes)
+
+
+@pytest.mark.parametrize(
+    "n,weight,t,pairs",
+    [(n, 16, 2, None) for n in (31, 63, 93)]
+    + [(341, 16, 2, [_pair("5^2", "1^1 5^1")])]
+    + [(n, 9, 3, None) for n in (13, 26)]
+    + [(n, 4, 2, None) for n in (7, 21)],
+)
+def test_search_verdicts_match_every_lag(monkeypatch, n, weight, t, pairs):
+    """Every candidate the search tests (each cross pair, or the listed
+    ones) gets the verdict of the autocorrelation at all n - 1 lags."""
+    verdicts = []
+
+    def recorded(n_, support, pm, nm, t_):
+        verdict = _weighing(n_, support, pm, nm, t_)
+        verdicts.append((pm, nm, verdict))
+        return verdict
+
+    monkeypatch.setattr("cwmat.search._weighing", recorded)
+    tested = hits = 0
+    for pair in pairs or cross_pairs(weight, t):
+        report = exhaustive_search(SearchSpec(n, weight, t, pair))
+        tested += report.candidates_tested
+        hits += len(report.solutions)
+    assert len(verdicts) == tested > 0
+    assert sum(v for _, _, v in verdicts) == hits > 0
+    for pm, nm, verdict in verdicts:
+        row = from_sets(n, _bits(pm, n), _bits(nm, n))
+        expected = all(periodic_autocorrelation(row, s) == 0 for s in range(1, n))
+        assert verdict == expected, row.to_string()
 
 
 def test_a_search_without_hits_canonicalizes_nothing(monkeypatch):
@@ -322,7 +373,13 @@ def _product_assignments(spec: SearchSpec):
 )
 def test_assignments_follow_the_product_order(n, p, np_):
     spec = _spec(n, p, np_)
-    assert list(_assignments(spec)) == list(_product_assignments(spec))
+    listed = list(_assignments(spec))
+    assert [(frozenset(P), frozenset(N)) for _, _, P, N in listed] == list(
+        _product_assignments(spec)
+    )
+    for pm, nm, P, N in listed:
+        assert (pm, nm) == (_mask(P), _mask(N))
+        assert len(P) == len(set(P)) and len(N) == len(set(N))
 
 
 def test_assignments_are_lazy_across_lengths():
@@ -335,7 +392,7 @@ def test_assignments_are_lazy_across_lengths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == (frozenset({0, 1, 2}), frozenset({3}))
+    assert first == (0b111, 0b1000, (0, 1, 2), (3,))
     assert peak < 5 * 2**20
 
 
