@@ -1,6 +1,6 @@
 """Circulant weighing matrices: verification, pruning, search, classification."""
 
-from .multisets import ResidueMultiset, adjoin, cw_equation_holds, delta, delta_bar
+from .multisets import cw_equation_holds
 from .orbits import (
     ModulusContext,
     Orbit,
@@ -97,10 +97,8 @@ __all__ = [
     "OlpPair",
     "Orbit",
     "PruneReport",
-    "ResidueMultiset",
     "SearchReport",
     "SearchSpec",
-    "adjoin",
     "apply_transform",
     "are_equivalent",
     "base_orders",
@@ -114,8 +112,6 @@ __all__ = [
     "contract",
     "cross_pairs",
     "cw_equation_holds",
-    "delta",
-    "delta_bar",
     "describing_set_sizes",
     "describing_sets",
     "diff_length_candidates",

@@ -10,7 +10,8 @@ images.
 Equivalence is generated by cyclic shifts and the substitutions
 x -> x^t with gcd(t, n) = 1: the witness (s, t) sends the coefficient
 at index i to index t*i + s (mod n). Negation is deliberately NOT part
-of equivalence; sign is handled by normalize_sign alone.
+of equivalence; normalize_sign picks the sign of a row, and the search
+sign-normalizes its candidate masks by popcount.
 
 Conventions:
   sign strings: '-', '0', '+' read left to right as w_0 .. w_{n-1},
@@ -21,7 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
 
@@ -67,9 +68,13 @@ class CirculantRow:
         chars = [_COEFF_TO_CHAR[c] for c in self.coeffs]
         return (" " if spaced else "").join(chars)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
+
+    @cached_property
+    def _sort_key(self) -> str:
+        return "".join(_COEFF_TO_KEY[c] for c in self.coeffs)
 
     def __neg__(self) -> "CirculantRow":
         return CirculantRow(self.n, tuple(-c for c in self.coeffs))
@@ -92,9 +97,10 @@ class EquivalenceWitness:
 
 
 def describing_sets(row: CirculantRow) -> DescribingSets:
+    c = row.coeffs
     return DescribingSets(
-        P=frozenset(i for i, c in enumerate(row.coeffs) if c == 1),
-        N=frozenset(i for i, c in enumerate(row.coeffs) if c == -1),
+        P=frozenset(i for i in row.support if c[i] == 1),
+        N=frozenset(i for i in row.support if c[i] == -1),
     )
 
 
@@ -220,9 +226,9 @@ def sort_key(row: CirculantRow) -> str:
     """String whose lexicographic order matches the row order.
 
     ASCII order of '-', '0', '+' does not match -1 < 0 < +1, so sorting
-    must go through this key, not to_string().
+    must go through this key, not to_string(). Built once per row.
     """
-    return "".join(_COEFF_TO_KEY[c] for c in row.coeffs)
+    return row._sort_key
 
 
 def _image_key(row: CirculantRow, t: int, support: tuple[int, ...]) -> str:

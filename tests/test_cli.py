@@ -8,8 +8,26 @@ import time
 
 import pytest
 
+from cwmat import (
+    CirculantRow,
+    EquivalenceWitness,
+    apply_transform,
+    from_sets,
+    full_classification,
+    lift,
+    units,
+)
 from cwmat.cli import main
-from golden import KNOWN_CW_7_4, KNOWN_CW_31_16
+from golden import (
+    KNOWN_CW_7_4,
+    KNOWN_CW_31_16,
+    W1_31_N,
+    W1_31_P,
+    W1_63_N,
+    W1_63_P,
+    W2_31_N,
+    W2_31_P,
+)
 
 
 def run(capsys, *argv):
@@ -201,6 +219,65 @@ def test_search_and_classify_json_match_parent_output(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PARENT_SEARCH_JSON_SHA256[argv]
+
+
+# sha256 of the stdout of `verify <row> --format json` at commit b96c218,
+# the parent of caching a row's support and sort key, for each class
+# representative of full_classification(16, n, cross_check=False), in
+# class order: a regression reference for the payload, the multiplier
+# list included (parent output), not an independent result.
+PARENT_VERIFY_JSON_SHA256 = {
+    651: (
+        "3ac278566d4f6975e13ef99596f25e2d7a044fd800fa8180ec0fe62a55bcabb9",
+        "9acb56b020515fc30b673212c177ac68d5214c86f2547681b7a0abab4b874864",
+        "4d7d44ec4e417c9ed77a72ed458afef842a77d7039ade7a6c1485784af6ff090",
+    ),
+    1953: (
+        "52dc3d9cd7f48f36c726a73c78715b89261d341fd87fd2ee040dcdbca73952e6",
+        "5accacfa0d850174ceb2856d18c15bb5b3a1a5387479526505a0172c14f77762",
+        "02c8d33754e3e1546c8324d3de0a2ba412cb86748deb6bf1a4b1ace87e647bc3",
+        "86a69eea288dbca2ce7b3951f0405f65b844ce15aad542cdfe7ee1fc0f049d93",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PARENT_VERIFY_JSON_SHA256))
+def test_verify_json_matches_parent_output(capsys, n):
+    reps = full_classification(16, n, cross_check=False).classes
+    digests = []
+    for rep in reps:
+        code, out, _ = run(capsys, "verify", rep.to_string(), "--format", "json")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PARENT_VERIFY_JSON_SHA256[n]
+
+
+def _multipliers_by_brute_force(row: CirculantRow) -> list[list[int]]:
+    """[u, s] for every unit u that fixes row up to a shift, s the least
+    shift, found by trying every s."""
+    found = []
+    for u in units(row.n):
+        for s in range(row.n):
+            if apply_transform(row, EquivalenceWitness(s, u)) == row:
+                found.append([u, s])
+                break
+    return found
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        from_sets(31, W1_31_P, W1_31_N),
+        from_sets(31, W2_31_P, W2_31_N),
+        from_sets(63, W1_63_P, W1_63_N),
+        lift(from_sets(31, W1_31_P, W1_31_N), 3),
+    ],
+    ids=["W1_31", "W2_31", "W1_63", "W1_31-lift3"],
+)
+def test_verify_multipliers_match_brute_force(capsys, row):
+    code, out, _ = run(capsys, "verify", row.to_string(), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["multipliers"] == _multipliers_by_brute_force(row)
 
 
 def test_prune_refuses_an_oversized_pair_grid(capsys):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,14 +7,11 @@ from hypothesis import strategies as st
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
-    ResidueMultiset,
-    adjoin,
     apply_transform,
     cw_equation_holds,
-    delta,
-    delta_bar,
     describing_sets,
     from_sets,
+    periodic_autocorrelation,
     units,
     verify_cw,
 )
@@ -42,83 +37,6 @@ ternary_rows = st.integers(min_value=1, max_value=20).flatmap(
         lambda cs: CirculantRow(n, tuple(cs))
     )
 )
-
-
-def test_multiset_construction_validates():
-    with pytest.raises(ValueError, match="modulus must be positive"):
-        ResidueMultiset.from_elements(0, [])
-    # from_elements reduces mod n; only raw counts can be out of range
-    assert ResidueMultiset.from_elements(5, [5]) == ResidueMultiset.from_elements(5, [0])
-    with pytest.raises(ValueError, match="out of range"):
-        ResidueMultiset(5, ((5, 1),))
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        ResidueMultiset.from_counter(5, Counter({1: -1}))
-
-
-def test_multiset_count_and_total():
-    m = ResidueMultiset.from_elements(7, [1, 1, 6, 3])
-    assert m.count(1) == 2
-    assert m.count(6) == 1
-    assert m.count(0) == 0
-    assert m.total == 4
-    assert m.negated() == ResidueMultiset.from_elements(7, [6, 6, 1, 4])
-
-
-def test_delta_examples():
-    assert delta({0}, 7).total == 0
-    assert delta({0, 1}, 7) == ResidueMultiset.from_elements(7, [1, 6])
-    d = delta({1, 2, 4, 8, 16}, 31)
-    assert d.total == 20
-    assert d.negated() == d
-
-
-@given(small_sets)
-def test_delta_counts_ordered_difference_pairs(case):
-    n, X = case
-    d = delta(X, n)
-    assert d.total == len(X) * (len(X) - 1)
-    assert d.negated() == d
-    assert d.count(0) == 0
-
-
-def test_delta_bar_examples():
-    assert delta_bar(set(), set(), 7).total == 0
-    assert delta_bar({0}, {1}, 7) == ResidueMultiset.from_elements(7, [1, 6])
-    cross = delta_bar(KNOWN_CW_7_4_P, KNOWN_CW_7_4_N, 7)
-    assert cross.total == 2 * len(KNOWN_CW_7_4_P) * len(KNOWN_CW_7_4_N)
-
-
-@given(small_sets, small_sets)
-def test_delta_bar_is_symmetric_and_negation_closed(a, b):
-    n, P = a
-    _, N = b
-    N = {x % n for x in N}
-    N = N - P
-    d = delta_bar(P, N, n)
-    assert d == delta_bar(N, P, n)
-    assert d.negated() == d
-    assert d.total == 2 * len(P) * len(N)
-
-
-def test_adjoin_examples():
-    a = ResidueMultiset.from_elements(10, [1, 1, 1, 2, 2])
-    b = ResidueMultiset.from_elements(10, [2, 2, 2, 2, 3])
-    joined = adjoin(a, b)
-    assert joined.count(1) == 3
-    assert joined.count(2) == 6
-    assert joined.count(3) == 1
-    assert joined.total == a.total + b.total
-    assert adjoin(a, ResidueMultiset.from_elements(10, [])) == a
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        adjoin(a, ResidueMultiset.from_elements(7, []))
-
-
-@given(small_sets, small_sets)
-def test_adjoin_commutes(a, b):
-    n, X = a
-    _, Y = b
-    Y = {x % n for x in Y}
-    assert adjoin(delta(X, n), delta(Y, n)) == adjoin(delta(Y, n), delta(X, n))
 
 
 def test_cw_equation_examples():
@@ -168,9 +86,11 @@ cw_sets = st.sampled_from(CW_ROWS).flatmap(_image_sets)
 
 
 @given(st.one_of(disjoint_sets, cw_sets))
-def test_cw_equation_holds_matches_the_multiset_reference(case):
+def test_cw_equation_holds_matches_all_lag_autocorrelation(case):
     n, P, N = case
-    assert cw_equation_holds(P, N, n) == (adjoin(delta(P, n), delta(N, n)) == delta_bar(P, N, n))
+    row = from_sets(n, P, N)
+    vanishes = all(periodic_autocorrelation(row, lag) == 0 for lag in range(1, n))
+    assert cw_equation_holds(P, N, n) == vanishes
 
 
 @given(cw_sets)
