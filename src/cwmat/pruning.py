@@ -37,15 +37,27 @@ the within-side table of a pair is the sum of one table per describing
 set; those are built once per olp, which thousands of pairs share.
 Their lengths are pol_delta, the set the existence level reads.
 
-Per pair, each level does only the work that depends on the pair. Each
-olp keeps, once, its sorted distinct parts and its pol_delta as an int
-bitmask (bit m for length m); each cross (k, l) keeps, once, its
-candidate lengths as a bitmask and the ExistenceWitness it fires, which
-is frozen, so every report that cites it shares it. The existence test
-of a pair is then one AND per distinct (k, l), in sorted order. The
-orbit-count caps are checked from per-olp multiplicities before a pair
-is built, and the pair grid is counted, by a generating function,
-before any partition is listed: a weight with more than
+Per pair, each level does only the work that depends on the pair.
+Partitions come from one recursion that drops a subtree as soon as a
+run of equal parts m exceeds caps[m]. feasible_pairs checks the
+combined caps only at the tight lengths ell, those with
+floor(|P|/ell) + floor(|N|/ell) > caps[ell]; at any other length the
+caps each side already meets imply the combined one. A tight length
+keeps one bitmask over the P olps per count of N parts of that
+length, so an N olp finds the P olps it fits with one AND per tight
+length. Each olp keeps, once, its sorted distinct parts and its
+pol_delta as an int bitmask (bit m for length m). Each N olp keeps,
+per P part k, the crosses (k, l) over its own distinct parts l whose
+candidate lengths miss its pol_delta, each with its candidate bitmask
+and the ExistenceWitness it fires; witnesses are frozen and built once
+per (k, l), so every report that cites one shares it. The existence
+test of a pair is then one lookup per distinct P part and one AND per
+cross listed. The bound tables take one contribution per distinct
+(k, l), weighted by the multiplicities. That is exact because every
+term of the one-pass rule is a fixed amount per orbit or per pair of
+orbits, the t = 2 floor min(2k, k(k-1)) included, so c orbits add c
+times what one adds. The pair grid is counted, by a generating
+function, before any partition is listed: a weight with more than
 MAX_CROSS_PAIRS cross pairs is refused.
 """
 from __future__ import annotations
@@ -54,8 +66,8 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt, lcm, prod
+from operator import index
 from types import MappingProxyType
 
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
@@ -68,7 +80,8 @@ class Olp:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(sorted(int(p) for p in self.parts))
+        # index, not int: a float or a string is an error, not a part
+        parts = tuple(sorted(map(index, self.parts)))
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -152,16 +165,31 @@ def enumerate_partitions(total: int, max_part: int | None = None) -> list[Olp]:
         raise ValueError(f"total must be nonnegative, got {total}")
     if max_part is None:
         max_part = total
+    return _capped_partitions(total, max_part, [total] * (total + 1))
 
-    def rec(remaining, cap):
+
+def _capped_partitions(total: int, max_part: int, caps) -> list[Olp]:
+    """Partitions of total with parts <= max_part and at most caps[m]
+    parts equal to m, in the order of enumerate_partitions.
+
+    Parts are placed from the largest down; a run of equal parts that
+    exceeds its cap ends its subtree at once, and only the partitions
+    kept become Olps.
+    """
+    kept: list[tuple[int, ...]] = []
+
+    def rec(remaining, top, run, parts):
+        # top is the last part placed and run the number of parts equal to it
         if remaining == 0:
-            yield ()
+            kept.append(parts)
             return
-        for m in range(1, min(remaining, cap) + 1):
-            for rest in rec(remaining - m, m):
-                yield rest + (m,)
+        for m in range(1, min(remaining, top) + 1):
+            used = run + 1 if m == top else 1
+            if used <= caps[m]:
+                rec(remaining - m, m, used, (m,) + parts)
 
-    return [Olp(parts) for parts in rec(total, max_part)]
+    rec(total, max_part, 0, ())
+    return [Olp(parts) for parts in kept]
 
 
 @lru_cache(maxsize=None)
@@ -170,23 +198,14 @@ def _multiplicities(olp: Olp) -> dict[int, int]:
     return olp.multiplicities
 
 
-def _within_caps(p_mults, n_mults, caps) -> bool:
-    """Whether olp(P) and olp(N) together take at most caps[ell] orbits of
-    each length ell; parts of both sides take distinct orbits."""
-    for ell, m in p_mults.items():
-        if m + n_mults.get(ell, 0) > caps[ell]:
-            return False
-    for ell, m in n_mults.items():
-        if m > caps[ell]:
-            return False
-    return True
-
-
 def cap_feasible(pair: OlpPair, t: int = 2) -> bool:
-    """Whether the combined partition respects every orbit-count cap."""
+    """Whether the combined partition respects every orbit-count cap;
+    parts of both sides take distinct orbits."""
     p_mults, n_mults = _multiplicities(pair.p), _multiplicities(pair.n)
-    caps = {ell: orbit_count_cap(ell, t) for ell in p_mults.keys() | n_mults.keys()}
-    return _within_caps(p_mults, n_mults, caps)
+    return all(
+        p_mults.get(ell, 0) + n_mults.get(ell, 0) <= orbit_count_cap(ell, t)
+        for ell in p_mults.keys() | n_mults.keys()
+    )
 
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:
@@ -204,13 +223,16 @@ def describing_set_sizes(weight: int) -> tuple[int, int]:
     return s * (s + 1) // 2, s * (s - 1) // 2
 
 
+def _caps(size: int, t: int) -> list[int]:
+    """orbit_count_cap by length, 1..size; index 0 is unused."""
+    return [0] + [orbit_count_cap(ell, t) for ell in range(1, size + 1)]
+
+
 def feasible_partitions(size: int, t: int = 2) -> list[Olp]:
     """Partitions of size whose own multiplicities fit the orbit caps."""
-    return [
-        olp
-        for olp in enumerate_partitions(size)
-        if all(m <= orbit_count_cap(i, t) for i, m in olp.multiplicities.items())
-    ]
+    if size < 0:
+        raise ValueError(f"total must be nonnegative, got {size}")
+    return _capped_partitions(size, size, _caps(size, t))
 
 
 # The most (olp(P), olp(N)) combinations cross_pairs and feasible_pairs
@@ -249,15 +271,15 @@ def _olp_grid(weight: int, t: int) -> tuple[list[Olp], list[Olp], list[int]]:
             f"weight {weight}: at least {floor} olp pairs exceed the "
             f"pair-grid bound of {MAX_CROSS_PAIRS}"
         )
-    p_size, n_size = sizes
-    caps = [0] + [orbit_count_cap(ell, t) for ell in range(1, p_size + 1)]
+    caps = _caps(sizes[0], t)
     count = prod(_capped_partition_count(s, caps) for s in sizes)
     if count > MAX_CROSS_PAIRS:
         raise ValueError(
             f"weight {weight}: {count} olp pairs exceed the "
             f"pair-grid bound of {MAX_CROSS_PAIRS}"
         )
-    return feasible_partitions(p_size, t), feasible_partitions(n_size, t), caps
+    p_olps, n_olps = (_capped_partitions(s, s, caps) for s in sizes)
+    return p_olps, n_olps, caps
 
 
 def cross_pairs(weight: int, t: int = 2) -> list[OlpPair]:
@@ -276,18 +298,29 @@ def feasible_pairs(weight: int, t: int = 2) -> list[OlpPair]:
 
     For weight 16 and t = 2 this leaves 41 pairs, in the conventional
     numbering (same order as cross_pairs). Only the pairs that fit are
-    built.
+    built, and only the tight lengths of the module docstring are
+    checked: room[ell][j] has bit i set when the i-th P olp leaves room
+    for j more orbits of length ell.
     """
     p_olps, n_olps, caps = _olp_grid(weight, t)
-    p_sides = [(olp, _multiplicities(olp)) for olp in p_olps]
+    p_size, n_size = describing_set_sizes(weight)
+    p_mults = [_multiplicities(olp) for olp in p_olps]
+    room = {
+        ell: [
+            _mask(i for i, mults in enumerate(p_mults) if mults.get(ell, 0) + j <= caps[ell])
+            for j in range(n_size // ell + 1)
+        ]
+        for ell in range(1, n_size + 1)
+        if p_size // ell + n_size // ell > caps[ell]
+    }
     out = []
     for olp_n in n_olps:
         n_mults = _multiplicities(olp_n)
-        out.extend(
-            OlpPair(olp_p, olp_n)
-            for olp_p, p_mults in p_sides
-            if _within_caps(p_mults, n_mults, caps)
-        )
+        fits = (1 << len(p_olps)) - 1
+        for ell, masks in room.items():
+            fits &= masks[n_mults.get(ell, 0)]
+        bits = bin(fits)[:1:-1]  # bits[i] is bit i of fits
+        out.extend(OlpPair(olp_p, olp_n) for olp_p, bit in zip(p_olps, bits) if bit == "1")
     return out
 
 
@@ -307,38 +340,55 @@ def diff_length_candidates(k: int, l: int) -> frozenset[int]:
     )
 
 
-def _side_contributions(olp: Olp) -> list[tuple[int, int, int, bool]]:
-    """(k, l, size, intra) per difference contribution of one describing set.
+@lru_cache(maxsize=None)
+def _candidates(k: int, l: int) -> tuple[int, ...]:
+    """diff_length_candidates(k, l), sorted."""
+    return tuple(sorted(diff_length_candidates(k, l)))
 
-    One orbit of length k >= 2 contributes k(k-1) ordered differences
-    (intra); two distinct orbits of lengths k, l on the same side
-    contribute 2kl (parts are sorted, so k <= l).
+
+def _side_contributions(olp: Olp) -> list[tuple[int, int, int, int]]:
+    """(k, l, size, floor) per distinct (k, l), k <= l, of one describing set.
+
+    One orbit of length k contributes k(k-1) ordered differences, of
+    which the t = 2 floor min(2k, k(k-1)) stays in the orbit; two
+    distinct orbits of lengths k, l on the same side contribute 2kl.
+    With c orbits of length k, (k, k) sums c orbits and c(c-1)/2 pairs
+    of them, and (k, l) sums c * d pairs for d orbits of length l.
     """
-    intra = [(k, k, k * (k - 1), True) for k in olp.parts if k >= 2]
-    return intra + [(k, l, 2 * k * l, False) for k, l in combinations(olp.parts, 2)]
+    mults = list(_multiplicities(olp).items())
+    out = []
+    for i, (k, c) in enumerate(mults):
+        out.append((k, k, c * k * (k - 1) + c * (c - 1) * k * k, c * min(2 * k, k * (k - 1))))
+        out.extend((k, l, 2 * k * l * c * d, 0) for l, d in mults[i + 1 :])
+    return out
 
 
-def _cross_contributions(pair: OlpPair) -> list[tuple[int, int, int, bool]]:
-    """(k, l, 2kl) per (P part, N part) pair on the delta_bar side."""
-    return [(k, l, 2 * k * l, False) for k in pair.p.parts for l in pair.n.parts]
+def _cross_contributions(pair: OlpPair) -> list[tuple[int, int, int, int]]:
+    """(k, l, size, 0) per distinct (P part k, N part l) on the delta_bar
+    side: 2kl for each of the c * d such pairs of orbits."""
+    n_mults = _multiplicities(pair.n).items()
+    return [
+        (k, l, 2 * k * l * c * d, 0)
+        for k, c in _multiplicities(pair.p).items()
+        for l, d in n_mults
+    ]
 
 
 def _bounds(contributions, intra_floor: bool) -> dict[int, tuple[int, int]]:
     """Per-length (min, max) counts by the one-pass rule of the module
     docstring; only lengths some contribution can reach appear."""
-    lo: Counter[int] = Counter()
-    hi: Counter[int] = Counter()
-    for k, l, size, intra in contributions:
-        cand = diff_length_candidates(k, l)
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for k, l, size, floor in contributions:
+        cand = _candidates(k, l)
         for m in cand:
-            hi[m] += size
+            hi[m] = hi.get(m, 0) + size
         if len(cand) == 1:
-            (m,) = cand
-            lo[m] += size
-        elif intra_floor and intra:
+            lo[m] = lo.get(m, 0) + size  # m is the only candidate
+        elif intra_floor and floor:
             # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
-            lo[k] += min(2 * k, size)
-    return {m: (lo[m], hi[m]) for m in hi}
+            lo[k] = lo.get(k, 0) + floor
+    return {m: (lo.get(m, 0), hi[m]) for m in hi}
 
 
 @lru_cache(maxsize=None)
@@ -449,29 +499,34 @@ def _existence_profile(olp: Olp) -> tuple[tuple[int, ...], int]:
 def _cross_witness(k: int, l: int) -> tuple[int, ExistenceWitness]:
     """The candidate lengths of a cross (k, l) as a bitmask, and the
     witness they give when none is possible within a side."""
-    cand = diff_length_candidates(k, l)
-    return _mask(cand), ExistenceWitness(k, l, tuple(sorted(cand)))
+    cand = _candidates(k, l)
+    return _mask(cand), ExistenceWitness(k, l, cand)
 
 
-def _existence_witnesses(pair: OlpPair) -> list[ExistenceWitness]:
-    p_parts, p_mask = _existence_profile(pair.p)
-    n_parts, n_mask = _existence_profile(pair.n)
-    possible = p_mask | n_mask
-    out = []
-    for k in p_parts:
-        for l in n_parts:
-            cand, witness = _cross_witness(k, l)
-            if not cand & possible:
-                out.append(witness)
-    return out
+@lru_cache(maxsize=None)
+def _existence_table(olp_n: Olp) -> dict[int, tuple[tuple[int, ExistenceWitness], ...]]:
+    """k -> _open_crosses(olp_n, k), filled in by prune per k on first use."""
+    return {}
+
+
+def _open_crosses(olp_n: Olp, k: int) -> tuple[tuple[int, ExistenceWitness], ...]:
+    """The crosses (k, l), l over the distinct parts of olp(N) in order,
+    whose candidate lengths miss pol_delta(N): only they can fire."""
+    n_parts, n_mask = _existence_profile(olp_n)
+    crosses = (_cross_witness(k, l) for l in n_parts)
+    return tuple(cross for cross in crosses if not cross[0] & n_mask)
 
 
 def _counting_witnesses(pair: OlpPair, t: int) -> list[CountingWitness]:
-    bounds = length_count_bounds(pair, t)
+    p_side = _side_bounds(pair.p, t == 2)
+    n_side = _side_bounds(pair.n, t == 2)
+    cross = _bounds(_cross_contributions(pair), False)
     out = []
-    for ell in bounds.lengths:
-        d_lo, d_hi = bounds.delta_bounds(ell)
-        b_lo, b_hi = bounds.delta_bar_bounds(ell)
+    for ell in sorted(p_side.keys() | n_side.keys() | cross.keys()):
+        p_lo, p_hi = p_side.get(ell, (0, 0))
+        n_lo, n_hi = n_side.get(ell, (0, 0))
+        b_lo, b_hi = cross.get(ell, (0, 0))
+        d_lo, d_hi = p_lo + n_lo, p_hi + n_hi
         if d_lo > b_hi:
             out.append(CountingWitness(ell, d_lo, b_hi, "delta>delta_bar"))
         if b_lo > d_hi:
@@ -489,7 +544,16 @@ def prune(pairs, level: str = "counting", t: int = 2) -> list[PruneReport]:
         raise ValueError(f"unknown prune level {level!r}")
     reports = []
     for pair in pairs:
-        witnesses: list = _existence_witnesses(pair)
+        p_parts, p_mask = _existence_profile(pair.p)
+        crosses = _existence_table(pair.n)
+        witnesses: list = []
+        for k in p_parts:
+            row = crosses.get(k)
+            if row is None:
+                row = crosses[k] = _open_crosses(pair.n, k)
+            for cand, witness in row:
+                if not cand & p_mask:
+                    witnesses.append(witness)
         if not witnesses and level == "counting":
             witnesses = _counting_witnesses(pair, t)
         verdict = "rejected" if witnesses else "accepted"

@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cwmat import (
+    CountingWitness,
     ExistenceWitness,
     ModulusContext,
     Olp,
@@ -32,7 +34,6 @@ from cwmat import (
 from cwmat.pruning import (
     MAX_CROSS_PAIRS,
     _capped_partition_count,
-    _counting_witnesses,
 )
 from golden import (
     COUNTING_SURVIVOR_INDICES,
@@ -43,6 +44,11 @@ from golden import (
     PARTITIONS_OF_6,
 )
 from orbit_lister import orbit_lengths
+
+
+def _caps(size: int, t: int) -> list[int]:
+    return [0] + [orbit_count_cap(ell, t) for ell in range(1, size + 1)]
+
 
 # p(0)..p(12)
 PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
@@ -61,6 +67,19 @@ def test_olp_parse_and_format():
     for bad in ("0^1", "2^", "x", "-3", "1^-1"):
         with pytest.raises(ValueError, match="bad olp token|parts must be positive"):
             Olp.from_string(bad)
+
+
+def test_olp_takes_numpy_integer_parts():
+    olp = Olp((np.int64(3), np.int32(1), np.uint8(3)))
+    assert olp.parts == (1, 3, 3)
+    assert all(type(p) is int for p in olp.parts)
+    assert str(olp) == "1^1 3^2"
+
+
+@pytest.mark.parametrize("parts", [(2.5, 3.9), (3.0,), ("3",), (1, "2")])
+def test_olp_rejects_parts_that_are_not_integers(parts):
+    with pytest.raises(TypeError):
+        Olp(parts)
 
 
 def test_olp_total_and_multiplicities():
@@ -108,6 +127,38 @@ def test_enumerate_partitions_are_sorted_distinct_sums(total):
         assert tuple(sorted(olp.parts)) == olp.parts
         assert olp.parts not in seen
         seen.add(olp.parts)
+
+
+def _reference_partitions(total: int):
+    """Partitions of total in the documented order, by the plain recursion:
+    ascending largest part, then the same order on the remainder."""
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for m in range(1, min(remaining, cap) + 1):
+            for rest in rec(remaining - m, m):
+                yield rest + (m,)
+
+    return [Olp(parts) for parts in rec(total, total)]
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_feasible_partitions_are_the_capped_enumeration(t):
+    """The capped generator lists exactly the partitions that fit the
+    caps, in the order of the full enumeration."""
+    for size in range(26):
+        everything = enumerate_partitions(size)
+        if size <= 20:
+            assert everything == _reference_partitions(size), size
+        caps = _caps(size, t)
+        fitting = [
+            olp
+            for olp in everything
+            if all(m <= caps[ell] for ell, m in olp.multiplicities.items())
+        ]
+        assert feasible_partitions(size, t) == fitting, (size, t)
 
 
 def test_describing_set_sizes():
@@ -309,11 +360,11 @@ def _reference_tables(pair: OlpPair, t: int):
         lengths |= diff_length_candidates(k, l)
 
     def table(contributions, floor):
+        cands = [diff_length_candidates(k, l) for k, l, _, _ in contributions]
         out = {}
         for ell in sorted(lengths):
             lo = hi = 0
-            for k, l, size, intra in contributions:
-                cand = diff_length_candidates(k, l)
+            for (k, l, size, intra), cand in zip(contributions, cands):
                 if ell in cand:
                     hi += size
                 forced = size if cand == {ell} else 0
@@ -325,9 +376,8 @@ def _reference_tables(pair: OlpPair, t: int):
     return table(within, t == 2), table(across, False)
 
 
-@pytest.mark.parametrize("weight", [4, 9, 16, 25])
-def test_one_pass_bounds_match_the_reference(weight):
-    for pair in feasible_pairs(weight):
+def _assert_bounds_match_the_reference(pairs):
+    for pair in pairs:
         for t in (2, 1):
             delta, delta_bar = _reference_tables(pair, t)
             b = length_count_bounds(pair, t)
@@ -340,6 +390,27 @@ def test_one_pass_bounds_match_the_reference(weight):
         for olp in (pair.p, pair.n):
             own, _ = _reference_tables(OlpPair(olp, Olp(())), 2)
             assert pol_delta(olp) == frozenset(own), str(olp)
+
+
+@pytest.mark.parametrize("weight", [4, 9, 16, 25])
+def test_one_pass_bounds_match_the_reference(weight):
+    _assert_bounds_match_the_reference(feasible_pairs(weight))
+
+
+def test_one_pass_bounds_with_repeated_parts():
+    """The tables weight each distinct (k, l) by its multiplicities; these
+    pairs repeat parts often: the W = 36 pairs the counting level reads,
+    and the t = 3 grids, whose caps allow more orbits of each length."""
+    existence_36 = survivors(prune(feasible_pairs(36), level="existence"))
+    assert len(existence_36) == 542
+    t3 = feasible_pairs(16, 3) + feasible_pairs(25, 3)
+    for pairs in (existence_36, t3):
+        assert any(
+            max(olp.multiplicities.values(), default=0) > 1
+            for pair in pairs
+            for olp in (pair.p, pair.n)
+        )
+        _assert_bounds_match_the_reference(pairs)
 
 
 def test_prune_existence_level():
@@ -396,10 +467,25 @@ def _reference_existence_witnesses(pair: OlpPair) -> list[ExistenceWitness]:
     return out
 
 
+def _reference_counting_witnesses(pair: OlpPair, t: int) -> list[CountingWitness]:
+    """The counting level on the reference tables: by length, a forced
+    count on one side above the other side's maximum, delta first."""
+    delta, delta_bar = _reference_tables(pair, t)
+    out = []
+    for ell in sorted(delta.keys() | delta_bar.keys()):
+        d_lo, d_hi = delta.get(ell, (0, 0))
+        b_lo, b_hi = delta_bar.get(ell, (0, 0))
+        if d_lo > b_hi:
+            out.append(CountingWitness(ell, d_lo, b_hi, "delta>delta_bar"))
+        if b_lo > d_hi:
+            out.append(CountingWitness(ell, b_lo, d_hi, "delta_bar>delta"))
+    return out
+
+
 def _reference_report(pair: OlpPair, level: str, t: int) -> PruneReport:
     witnesses = _reference_existence_witnesses(pair)
     if not witnesses and level == "counting":
-        witnesses = _counting_witnesses(pair, t)
+        witnesses = _reference_counting_witnesses(pair, t)
     return PruneReport(pair, "rejected" if witnesses else "accepted", tuple(witnesses))
 
 
@@ -420,8 +506,9 @@ def test_existence_witnesses_are_shared_between_reports():
             assert by_cross.setdefault((w.k, w.l), w) is w
 
 
-@pytest.mark.parametrize("t", [2, 3])
-@pytest.mark.parametrize("weight", [0, 4, 9, 16, 25, 36])
+@pytest.mark.parametrize(
+    "weight, t", [(w, t) for w in (0, 4, 9, 16, 25, 36) for t in (2, 3)] + [(49, 2)]
+)
 def test_feasible_pairs_are_the_cap_feasible_cross_pairs(weight, t):
     cross = cross_pairs(weight, t)
     assert feasible_pairs(weight, t) == [p for p in cross if cap_feasible(p, t)]
@@ -429,10 +516,6 @@ def test_feasible_pairs_are_the_cap_feasible_cross_pairs(weight, t):
         # the demand formulation: combined orbits per length against the cap
         by_demand = all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
         assert cap_feasible(pair, t) == by_demand, str(pair)
-
-
-def _caps(size: int, t: int) -> list[int]:
-    return [0] + [orbit_count_cap(ell, t) for ell in range(1, size + 1)]
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])
