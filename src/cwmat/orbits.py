@@ -168,17 +168,20 @@ def orbit_count_cap(i: int, t: int) -> int:
     return orbit_count(t**i - 1, i, t)
 
 
-def required_divisors(i: int, t: int, orbits_needed: int = 1) -> list[int]:
-    """Minimal d such that d | n guarantees >= orbits_needed orbits of length i.
+def hosting_divisors(ell: int, t: int, need: int) -> list[int]:
+    """The divisors d of t^ell - 1 (the only part of n the count can see),
+    ascending, where Z_d has at least need orbits of length ell."""
+    return [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= need]
 
-    Scans the divisors of t^i - 1 (the only part of n the count can see)
-    and keeps the divisibility-minimal ones with a large enough count.
-    """
+
+def required_divisors(i: int, t: int, orbits_needed: int = 1) -> list[int]:
+    """Minimal d such that d | n guarantees >= orbits_needed orbits of
+    length i: the divisibility-minimal hosting_divisors."""
     cap = orbit_count_cap(i, t)
     if not 1 <= orbits_needed <= cap:
         raise ValueError(
             f"cannot require {orbits_needed} orbits of length {i}: "
             f"at most {cap} exist for t={t}"
         )
-    hits = [d for d in divisors(t**i - 1) if orbit_count(d, i, t) >= orbits_needed]
-    return sorted(d for d in hits if not any(e != d and d % e == 0 for e in hits))
+    hits = hosting_divisors(i, t, orbits_needed)
+    return [d for d in hits if all(d % e for e in hits if e < d)]

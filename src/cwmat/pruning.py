@@ -20,55 +20,48 @@ Pruning then runs at two levels:
              on one side strictly exceeds the number the other side can
              possibly place there.
 
-Counting uses per-contribution sizes k(k-1) (within one orbit) and 2kl
-(between two orbits), a lower bound only for contributions whose
-candidate set is a singleton, plus one t=2 special: an orbit of length
-k >= 2 always contains the differences +-t^i(t*a - a) = +-t^i*a, which
-lie in the orbit itself, so at least min(2k, k(k-1)) differences of
-length exactly k are forced.
+Counting sizes a contribution k(k-1) within one orbit and 2kl between
+two, and forces it onto a length only when its candidate set is that
+length alone, plus one t = 2 special: an orbit of length k >= 2 holds
+the differences +-t^i(t*a - a) = +-t^i*a, so at least min(2k, k(k-1))
+differences of length k are forced. The (min, max) tables are packed,
+one int per bound with the count at each length in a width-bit field
+of its own, and built in one pass: a contribution adds its size
+times a unit table (max 1 at each candidate, min 1 at a lone one), or
+else, within an orbit at t = 2, its floor at length k. Every term is a
+fixed amount per orbit or pair of orbits, so one contribution per
+distinct (k, l), weighted by the multiplicities, is exact: a pair's
+within-side table sums one table per describing set, built once per
+olp, and its delta_bar table sums, times the multiplicity of each P
+part k, the table of one length-k orbit against olp(N), built once per
+(olp(N), k).
 
-The per-length (min, max) tables are built in one pass over the
-contributions. Each adds its size to the max at every candidate length;
-to the min it adds its size at its candidate if that is the only one,
-and otherwise, if it is intra-orbit and t = 2, the floor at length k.
-An intra-orbit candidate set is a singleton only as {k}, so no
-contribution adds both. Same-side contributions never mix P and N, so
-the within-side table of a pair is the sum of one table per describing
-set; those are built once per olp, which thousands of pairs share.
-Their lengths are pol_delta, the set the existence level reads.
-
-Per pair, each level does only the work that depends on the pair.
-Partitions come from one recursion that drops a subtree as soon as a
-run of equal parts m exceeds caps[m]. feasible_pairs checks the
-combined caps only at the tight lengths ell, those with
-floor(|P|/ell) + floor(|N|/ell) > caps[ell]; at any other length the
-caps each side already meets imply the combined one. A tight length
-keeps one bitmask over the P olps per count of N parts of that
-length, so an N olp finds the P olps it fits with one AND per tight
-length. Each olp keeps, once, its sorted distinct parts and its
-pol_delta as an int bitmask (bit m for length m). Each N olp keeps,
-per P part k, the crosses (k, l) over its own distinct parts l whose
-candidate lengths miss its pol_delta, each with its candidate bitmask
-and the ExistenceWitness it fires; witnesses are frozen and built once
-per (k, l), so every report that cites one shares it. The existence
-test of a pair is then one lookup per distinct P part and one AND per
-cross listed. The bound tables take one contribution per distinct
-(k, l), weighted by the multiplicities. That is exact because every
-term of the one-pass rule is a fixed amount per orbit or per pair of
-orbits, the t = 2 floor min(2k, k(k-1)) included, so c orbits add c
-times what one adds. The pair grid is counted, by a generating
-function, before any partition is listed: a weight with more than
-MAX_CROSS_PAIRS cross pairs is refused.
+Per pair, each level costs about what its verdict costs. Partitions
+come from one recursion that drops a subtree once a run of equal parts
+m exceeds caps[m]. feasible_pairs checks the combined caps only at the
+tight lengths ell, floor(|P|/ell) + floor(|N|/ell) > caps[ell], by one
+AND per tight length and N olp over bitmasks of the P olps. Existence
+reads each olp's distinct parts and pol_delta as a bitmask (bit m for
+length m), the OR of the candidate bitmasks of its own (k, l), and,
+once per run of pairs sharing olp(N), a table k -> the crosses (k, l)
+whose candidates miss pol_delta(N), with the ExistenceWitness each
+fires, built once per (k, l) and shared. A pair costs one lookup per
+distinct P part and one AND per listed cross; only the pairs that pass
+reach the tables, where a field of 2^(width-1) - 1 + min - max keeps
+its top bit exactly where min > max. Pair grids with more than
+MAX_CROSS_PAIRS pairs, counted by a generating function, are refused
+before any partition is listed.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import count
 from math import isqrt, lcm, prod
-from operator import index
-from types import MappingProxyType
+from operator import index, or_
+from typing import NamedTuple
 
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
 
@@ -85,6 +78,11 @@ class Olp:
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
+        # every per-olp cache hashes the olp; hash its parts once
+        object.__setattr__(self, "_hash", hash(parts))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_string(cls, text: str) -> "Olp":
@@ -117,9 +115,11 @@ class Olp:
 
 Demand = tuple[tuple[int, int], ...]
 
+# A tuple-based record from its fields, skipping its Python-level __new__
+_record = tuple.__new__
 
-@dataclass(frozen=True)
-class OlpPair:
+
+class OlpPair(NamedTuple):
     """(olp(P), olp(N)); p sums to |P|, n sums to |N|."""
 
     p: Olp
@@ -320,7 +320,7 @@ def feasible_pairs(weight: int, t: int = 2) -> list[OlpPair]:
         for ell, masks in room.items():
             fits &= masks[n_mults.get(ell, 0)]
         bits = bin(fits)[:1:-1]  # bits[i] is bit i of fits
-        out.extend(OlpPair(olp_p, olp_n) for olp_p, bit in zip(p_olps, bits) if bit == "1")
+        out += [_record(OlpPair, (olp_p, olp_n)) for olp_p, bit in zip(p_olps, bits) if bit == "1"]
     return out
 
 
@@ -340,12 +340,6 @@ def diff_length_candidates(k: int, l: int) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
-def _candidates(k: int, l: int) -> tuple[int, ...]:
-    """diff_length_candidates(k, l), sorted."""
-    return tuple(sorted(diff_length_candidates(k, l)))
-
-
 def _side_contributions(olp: Olp) -> list[tuple[int, int, int, int]]:
     """(k, l, size, floor) per distinct (k, l), k <= l, of one describing set.
 
@@ -363,49 +357,91 @@ def _side_contributions(olp: Olp) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _cross_contributions(pair: OlpPair) -> list[tuple[int, int, int, int]]:
-    """(k, l, size, 0) per distinct (P part k, N part l) on the delta_bar
-    side: 2kl for each of the c * d such pairs of orbits."""
-    n_mults = _multiplicities(pair.n).items()
-    return [
-        (k, l, 2 * k * l * c * d, 0)
-        for k, c in _multiplicities(pair.p).items()
-        for l, d in n_mults
-    ]
+# The field of each length in the packed tables, handed out on first use
+# (one C-level defaultdict step, so no length gets two), and the length
+# in each field: tables are as wide as the lengths seen, not as long.
+_field_of: defaultdict[int, int] = defaultdict(count().__next__)
+_length_at: dict[int, int] = {}
 
 
-def _bounds(contributions, intra_floor: bool) -> dict[int, tuple[int, int]]:
-    """Per-length (min, max) counts by the one-pass rule of the module
-    docstring; only lengths some contribution can reach appear."""
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for k, l, size, floor in contributions:
-        cand = _candidates(k, l)
-        for m in cand:
-            hi[m] = hi.get(m, 0) + size
-        if len(cand) == 1:
-            lo[m] = lo.get(m, 0) + size  # m is the only candidate
-        elif intra_floor and floor:
-            # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
-            lo[k] = lo.get(k, 0) + floor
-    return {m: (lo.get(m, 0), hi[m]) for m in hi}
+def _field(m: int) -> int:
+    """The field of length m in every packed table."""
+    field = _field_of[m]
+    _length_at[field] = m
+    return field
+
+
+def _width(pair: OlpPair) -> int:
+    """Field width for the pair: no count reaches (|P| + |N|)^2."""
+    return ((pair.p.total + pair.n.total) ** 2).bit_length() + 1
 
 
 @lru_cache(maxsize=None)
-def _side_bounds(olp: Olp, intra_floor: bool) -> Mapping[int, tuple[int, int]]:
-    """Bounds of one describing set's own differences, built once per olp."""
-    return MappingProxyType(_bounds(_side_contributions(olp), intra_floor))
+def _comparison(width: int, fields: int) -> tuple[int, int]:
+    """(high, bias): the top bit, and 2^(width-1) - 1, in each of fields."""
+    ones = ((1 << width * fields) - 1) // ((1 << width) - 1)
+    return ones << width - 1, (ones << width - 1) - ones
+
+
+@lru_cache(maxsize=None)
+def _unit(k: int, l: int, width: int) -> tuple[int, int]:
+    """Packed (min, max) tables of one difference of a (k, l) contribution."""
+    cand = diff_length_candidates(k, l)
+    hi = sum(1 << _field(m) * width for m in cand)
+    return (hi if len(cand) == 1 else 0), hi
+
+
+def _bounds(contributions, intra_floor: bool, width: int) -> tuple[int, int]:
+    """Packed per-length (min, max) counts by the one-pass rule."""
+    lo = hi = 0
+    for k, l, size, floor in contributions:
+        u_lo, u_hi = _unit(k, l, width)
+        lo += size * u_lo
+        hi += size * u_hi
+        if not u_lo and intra_floor and floor:
+            # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
+            lo += floor << _field(k) * width
+    return lo, hi
+
+
+def _unpack(lo: int, hi: int, width: int) -> dict[int, tuple[int, int]]:
+    """Packed tables as length -> (min, max), for the lengths with max > 0."""
+    field = (1 << width) - 1
+    at = (i for i in range(0, hi.bit_length(), width) if hi >> i & field)
+    return dict(sorted((_length_at[i // width], (lo >> i & field, hi >> i & field)) for i in at))
+
+
+@lru_cache(maxsize=None)
+def _side_bounds(olp: Olp, intra_floor: bool, width: int) -> tuple[int, int]:
+    """Packed bounds of one describing set's own differences, once per olp."""
+    return _bounds(_side_contributions(olp), intra_floor, width)
+
+
+@lru_cache(maxsize=None)
+def _cross_row(olp_n: Olp, k: int, width: int) -> tuple[int, int]:
+    """Packed bounds of one orbit of length k against olp(N): 2kl per orbit."""
+    n_mults = _multiplicities(olp_n).items()
+    return _bounds([(k, l, 2 * k * l * d, 0) for l, d in n_mults], False, width)
+
+
+def _cross_bounds(pair: OlpPair, width: int) -> tuple[int, int]:
+    """Packed delta_bar bounds: each P part k's row times its multiplicity."""
+    b_lo = b_hi = 0
+    for k, c in _multiplicities(pair.p).items():
+        lo, hi = _cross_row(pair.n, k, width)
+        b_lo, b_hi = b_lo + c * lo, b_hi + c * hi
+    return b_lo, b_hi
 
 
 def pol_delta(olp: Olp) -> frozenset[int]:
     """Possible orbit lengths of differences within one describing set."""
     # the lengths are those of the max table, so the floor does not matter
-    return frozenset(_side_bounds(olp, True))
+    return frozenset(length_count_bounds(OlpPair(olp, Olp(()))).delta)
 
 
 def pol_delta_bar(pair: OlpPair) -> frozenset[int]:
     """Possible orbit lengths of differences across the two describing sets."""
-    return frozenset(_bounds(_cross_contributions(pair), False))
+    return frozenset(length_count_bounds(pair).delta_bar)
 
 
 @dataclass(frozen=True)
@@ -435,11 +471,11 @@ def length_count_bounds(pair: OlpPair, t: int = 2) -> LengthCountBounds:
     counts it only where it is forced (singleton candidate set, or else
     the t=2 intra-orbit floor). The delta table sums the P and N tables.
     """
-    delta = dict(_side_bounds(pair.p, t == 2))
-    for m, (lo, hi) in _side_bounds(pair.n, t == 2).items():
-        d_lo, d_hi = delta.get(m, (0, 0))
-        delta[m] = (d_lo + lo, d_hi + hi)
-    return LengthCountBounds(delta, _bounds(_cross_contributions(pair), False))
+    width = _width(pair)
+    p_lo, p_hi = _side_bounds(pair.p, t == 2, width)
+    n_lo, n_hi = _side_bounds(pair.n, t == 2, width)
+    delta_bar = _cross_bounds(pair, width)
+    return LengthCountBounds(_unpack(p_lo + n_lo, p_hi + n_hi, width), _unpack(*delta_bar, width))
 
 
 @dataclass(frozen=True)
@@ -456,8 +492,7 @@ class ExistenceWitness:
         return f"cross ({self.k},{self.l}) forces length in {{{forced}}}"
 
 
-@dataclass(frozen=True)
-class CountingWitness:
+class CountingWitness(NamedTuple):
     """Length whose forced count on one side exceeds the other side's cap."""
 
     length: int
@@ -473,8 +508,7 @@ class CountingWitness:
         )
 
 
-@dataclass(frozen=True)
-class PruneReport:
+class PruneReport(NamedTuple):
     pair: OlpPair
     verdict: str  # "accepted" | "rejected"
     witnesses: tuple = ()
@@ -492,46 +526,45 @@ def _mask(lengths) -> int:
 @lru_cache(maxsize=None)
 def _existence_profile(olp: Olp) -> tuple[tuple[int, ...], int]:
     """(sorted distinct parts, pol_delta as a bitmask), built once per olp."""
-    return tuple(_multiplicities(olp)), _mask(_side_bounds(olp, True))
+    parts = tuple(_multiplicities(olp))
+    masks = (_cross_witness(k, l)[0] for i, k in enumerate(parts) for l in parts[i:])
+    return parts, reduce(or_, masks, 0)
 
 
 @lru_cache(maxsize=None)
 def _cross_witness(k: int, l: int) -> tuple[int, ExistenceWitness]:
     """The candidate lengths of a cross (k, l) as a bitmask, and the
     witness they give when none is possible within a side."""
-    cand = _candidates(k, l)
+    cand = tuple(sorted(diff_length_candidates(k, l)))
     return _mask(cand), ExistenceWitness(k, l, cand)
 
 
 @lru_cache(maxsize=None)
 def _existence_table(olp_n: Olp) -> dict[int, tuple[tuple[int, ExistenceWitness], ...]]:
-    """k -> _open_crosses(olp_n, k), filled in by prune per k on first use."""
+    """k -> the crosses (k, l) that miss pol_delta(N); prune fills it."""
     return {}
 
 
-def _open_crosses(olp_n: Olp, k: int) -> tuple[tuple[int, ExistenceWitness], ...]:
-    """The crosses (k, l), l over the distinct parts of olp(N) in order,
-    whose candidate lengths miss pol_delta(N): only they can fire."""
-    n_parts, n_mask = _existence_profile(olp_n)
-    crosses = (_cross_witness(k, l) for l in n_parts)
-    return tuple(cross for cross in crosses if not cross[0] & n_mask)
-
-
 def _counting_witnesses(pair: OlpPair, t: int) -> list[CountingWitness]:
-    p_side = _side_bounds(pair.p, t == 2)
-    n_side = _side_bounds(pair.n, t == 2)
-    cross = _bounds(_cross_contributions(pair), False)
+    """The fields where a min exceeds the other side's max, by length."""
+    p, n = pair
+    width = _width(pair)
+    p_lo, p_hi = _side_bounds(p, t == 2, width)
+    n_lo, n_hi = _side_bounds(n, t == 2, width)
+    d_lo, d_hi = p_lo + n_lo, p_hi + n_hi
+    b_lo, b_hi = _cross_bounds(pair, width)
+    high, bias = _comparison(width, max(d_hi, b_hi).bit_length() // width + 1)
+    field = (1 << width) - 1
     out = []
-    for ell in sorted(p_side.keys() | n_side.keys() | cross.keys()):
-        p_lo, p_hi = p_side.get(ell, (0, 0))
-        n_lo, n_hi = n_side.get(ell, (0, 0))
-        b_lo, b_hi = cross.get(ell, (0, 0))
-        d_lo, d_hi = p_lo + n_lo, p_hi + n_hi
-        if d_lo > b_hi:
-            out.append(CountingWitness(ell, d_lo, b_hi, "delta>delta_bar"))
-        if b_lo > d_hi:
-            out.append(CountingWitness(ell, b_lo, d_hi, "delta_bar>delta"))
-    return out
+    for lo, hi, way in ((d_lo, b_hi, "delta>delta_bar"), (b_lo, d_hi, "delta_bar>delta")):
+        fired = (lo + bias - hi) & high
+        while fired:
+            bit = fired & -fired
+            fired ^= bit
+            at = bit.bit_length() - width
+            ell = _length_at[at // width]
+            out.append(CountingWitness(ell, lo >> at & field, hi >> at & field, way))
+    return sorted(out)  # by length: no length fires both ways, as min <= max
 
 
 def prune(pairs, level: str = "counting", t: int = 2) -> list[PruneReport]:
@@ -543,21 +576,27 @@ def prune(pairs, level: str = "counting", t: int = 2) -> list[PruneReport]:
     if level not in ("existence", "counting"):
         raise ValueError(f"unknown prune level {level!r}")
     reports = []
+    olp_n = None
     for pair in pairs:
-        p_parts, p_mask = _existence_profile(pair.p)
-        crosses = _existence_table(pair.n)
+        p, n = pair
+        if n is not olp_n:  # pairs usually come in runs sharing olp(N)
+            olp_n, crosses = n, _existence_table(n)
+            n_parts, n_mask = _existence_profile(n)
+        p_parts, p_mask = _existence_profile(p)
         witnesses: list = []
         for k in p_parts:
             row = crosses.get(k)
             if row is None:
-                row = crosses[k] = _open_crosses(pair.n, k)
+                row = crosses[k] = tuple(
+                    [c for l in n_parts if not (c := _cross_witness(k, l))[0] & n_mask]
+                )
             for cand, witness in row:
                 if not cand & p_mask:
                     witnesses.append(witness)
         if not witnesses and level == "counting":
             witnesses = _counting_witnesses(pair, t)
         verdict = "rejected" if witnesses else "accepted"
-        reports.append(PruneReport(pair, verdict, tuple(witnesses)))
+        reports.append(_record(PruneReport, (pair, verdict, tuple(witnesses))))
     return reports
 
 

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 from .multisets import cw_equation_holds
-from .orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
+from .orbits import ModulusContext, hosting_divisors, orbit_count, orbits_of_length, units
 from .pruning import (
     Demand, OlpPair, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
 )
@@ -263,7 +263,7 @@ def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
         raise ValueError("orbit lengths above 10 are outside the implemented analysis")
     per_length = []
     for ell, need in pair.demand:
-        choices = [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= need]
+        choices = hosting_divisors(ell, t, need)
         if not choices:
             raise ValueError(f"no modulus hosts {need} orbits of length {ell}")
         per_length.append(choices)

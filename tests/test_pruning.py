@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import time
 
 import numpy as np
@@ -33,7 +34,13 @@ from cwmat import (
 )
 from cwmat.pruning import (
     MAX_CROSS_PAIRS,
+    _bounds,
     _capped_partition_count,
+    _cross_row,
+    _existence_profile,
+    _length_at,
+    _mask,
+    _width,
 )
 from golden import (
     COUNTING_SURVIVOR_INDICES,
@@ -413,6 +420,59 @@ def test_one_pass_bounds_with_repeated_parts():
         _assert_bounds_match_the_reference(pairs)
 
 
+def _packed_fields(packed: int, width: int) -> dict[int, int]:
+    """The nonzero width-bit fields of a packed table, by the length each holds."""
+    field = (1 << width) - 1
+    at = (i for i in range(0, packed.bit_length(), width) if packed >> i & field)
+    return {_length_at[i // width]: packed >> i & field for i in at}
+
+
+def test_existence_masks_and_cross_rows_match_the_tables():
+    """The existence level's pol_delta bitmask, ORed from the candidate
+    masks of an olp's own (k, l), is the key set of its bound table; the
+    delta_bar table, summed from rows cached per (olp(N), k) and weighted
+    by the multiplicity of k, is the table of one contribution per
+    (P part, N part) and the table length_count_bounds reports."""
+    for weight in (0, 4, 9, 16, 25, 36):
+        for t in (2, 3):
+            for size in describing_set_sizes(weight):
+                for olp in feasible_partitions(size, t):
+                    parts, mask = _existence_profile(olp)
+                    assert parts == tuple(sorted(set(olp.parts))), str(olp)
+                    assert mask == _mask(pol_delta(olp)), (weight, t, str(olp))
+    for weight in (25, 36):
+        for t in (2, 3):
+            existence = survivors(prune(feasible_pairs(weight, t), level="existence", t=t))
+            assert existence
+            for pair in existence:
+                width = _width(pair)
+                lo = hi = 0
+                p_mults, n_mults = pair.p.multiplicities, pair.n.multiplicities
+                for k, c in p_mults.items():
+                    row_lo, row_hi = _cross_row(pair.n, k, width)
+                    lo, hi = lo + c * row_lo, hi + c * row_hi
+                crosses = [
+                    (k, l, 2 * k * l * c * d, 0)
+                    for k, c in p_mults.items()
+                    for l, d in n_mults.items()
+                ]
+                assert (lo, hi) == _bounds(crosses, False, width), str(pair)
+                expected = length_count_bounds(pair, t).delta_bar
+                assert _packed_fields(hi, width) == {m: b[1] for m, b in expected.items()}
+                assert _packed_fields(lo, width) == {m: b[0] for m, b in expected.items() if b[0]}
+
+
+def test_bounds_with_long_orbits():
+    """The packed tables hold one field per length that occurs, not one
+    per length value: differences of orbits near 4000 long reach lengths
+    near 1.6e7, yet the tables stay small and match the reference."""
+    pairs = [_pair("3999^1", "4001^1"), _pair("2^1 3997^1", "4001^1")]
+    start = time.perf_counter()
+    _assert_bounds_match_the_reference(pairs)
+    assert prune(pairs) == [_reference_report(pair, "counting", 2) for pair in pairs]
+    assert time.perf_counter() - start < 30.0
+
+
 def test_prune_existence_level():
     reports = prune(feasible_pairs(16), level="existence")
     assert len(reports) == 41
@@ -583,6 +643,51 @@ def test_prune_weight_4_pair_survives():
 def test_prune_rejects_unknown_level():
     with pytest.raises(ValueError, match="unknown prune level"):
         prune([], level="strict")
+
+
+def test_records_are_immutable_and_compare_by_fields():
+    pair = _pair("1^1 5^1", "2^1 4^1")
+    reports = prune([pair, _pair("4^1 6^1", "2^1 4^1")], level="existence")
+    rejected = prune([_pair("4^1 6^1", "1^1 2^1 3^1")])[0]
+    down, counting = rejected.witnesses
+    assert isinstance(counting, CountingWitness)
+    for record, field in [
+        (pair, "p"),
+        (reports[0], "verdict"),
+        (counting, "min_count"),
+        (pair.p, "parts"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        twin = pickle.loads(pickle.dumps(record))
+        assert twin == record and hash(twin) == hash(record)
+    # equal fields, equal records; one field apart, unequal
+    assert OlpPair(Olp((5, 1)), Olp((4, 2))) == pair
+    assert hash(OlpPair(Olp((5, 1)), Olp((4, 2)))) == hash(pair)
+    assert OlpPair(pair.n, pair.p) != pair
+    assert PruneReport(pair, "accepted") == PruneReport(pair, "accepted", ())
+    assert PruneReport(pair, "accepted") != PruneReport(pair, "rejected")
+    assert CountingWitness(12, 48, 24, "delta>delta_bar") == counting
+    assert hash(CountingWitness(12, 48, 24, "delta>delta_bar")) == hash(counting)
+    # the tuple-based records also equal the plain tuple of their fields
+    assert pair == (pair.p, pair.n)
+    assert counting == (12, 48, 24, "delta>delta_bar")
+    # reason, demand and str() read as before
+    assert str(pair) == "(1^1 5^1, 2^1 4^1)"
+    assert pair.demand == ((1, 1), (2, 1), (4, 1), (5, 1))
+    assert [r.verdict for r in reports] == ["rejected", "accepted"]
+    assert reports[0].reason == "cross (5,2) forces length in {10}"
+    assert reports[1].reason == ""
+    assert str(counting) == "at length 12: min delta = 48 > max delta_bar = 24"
+    assert down == (4, 24, 12, "delta_bar>delta")
+    assert rejected.reason == "at length 4: min delta_bar = 24 > max delta = 12"
+    assert repr(counting) == (
+        "CountingWitness(length=12, min_count=48, max_count=24, direction='delta>delta_bar')"
+    )
+    # an olp hashes by its sorted parts, whatever their input order
+    olps = [Olp(parts) for parts in ((3, 1, 3, 2), (1, 2, 3, 3), (3, 3, 2, 1))]
+    assert len({hash(olp) for olp in olps}) == 1 and len(set(olps)) == 1
+    assert hash(pickle.loads(pickle.dumps(olps[0]))) == hash(olps[2])
 
 
 def test_prune_report_reason_strings():

@@ -527,7 +527,8 @@ def test_base_orders_agree_with_enumerated_counts(monkeypatch):
 
     pairs = feasible_pairs(16)
     expected = [base_orders(q) for q in pairs]
-    monkeypatch.setattr("cwmat.search.orbit_count", enumerated_count)
+    # base_orders counts through the helper it shares with required_divisors
+    monkeypatch.setattr("cwmat.orbits.orbit_count", enumerated_count)
     assert [base_orders(q) for q in pairs] == expected
 
 
