@@ -8,7 +8,7 @@ the circulant of the lifted row. Nothing here is a performance surface.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,16 +58,15 @@ def kronecker(A: DenseWeighingMatrix, B: DenseWeighingMatrix) -> DenseWeighingMa
     return DenseWeighingMatrix(np.kron(A.entries, B.entries))
 
 
-@dataclass(frozen=True)
-class InterleavePermutation:
+class InterleavePermutation(namedtuple("InterleavePermutation", "k m")):
     """Index map r*m + s -> s*k + r over k blocks of size m."""
 
-    k: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"block count and size must be positive, got {self.k}, {self.m}")
+    def __new__(cls, k: int, m: int):
+        if k < 1 or m < 1:
+            raise ValueError(f"block count and size must be positive, got {k}, {m}")
+        return tuple.__new__(cls, (k, m))
 
     @property
     def size(self) -> int:

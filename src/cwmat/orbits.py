@@ -23,9 +23,10 @@ count goes through orbit_count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 def units(n: int) -> list[int]:
@@ -48,24 +49,20 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class ModulusContext:
+class ModulusContext(namedtuple("ModulusContext", "n t")):
     """Ambient modulus n with multiplier base t, stored reduced mod n."""
 
-    n: int
-    t: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
-        t = self.t % self.n
-        if gcd(t, self.n) != 1:
-            raise ValueError(f"t={self.t} is not a unit mod {self.n}")
-        object.__setattr__(self, "t", t)
+    def __new__(cls, n: int, t: int = 2):
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
+        if gcd(t % n, n) != 1:
+            raise ValueError(f"t={t} is not a unit mod {n}")
+        return tuple.__new__(cls, (n, t % n))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A t-orbit, elements listed once around the cycle starting from the
     smallest one (the canonical generator)."""
 

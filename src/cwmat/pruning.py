@@ -54,9 +54,8 @@ before any partition is listed.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
 from math import isqrt, lcm, prod
@@ -66,20 +65,18 @@ from typing import NamedTuple
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
 
 
-@dataclass(frozen=True)
-class Olp:
+class Olp(namedtuple("Olp", "parts")):
     """Orbit length partition: a multiset of positive part lengths."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
+    def __new__(cls, parts):
         # index, not int: a float or a string is an error, not a part
-        parts = tuple(sorted(map(index, self.parts)))
+        parts = tuple(sorted(map(index, parts)))
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
-        # every per-olp cache hashes the olp; hash its parts once
-        object.__setattr__(self, "_hash", hash(parts))
+        self = tuple.__new__(cls, (parts,))
+        # every per-olp cache hashes the olp; hash it once, as its tuple
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -444,8 +441,7 @@ def pol_delta_bar(pair: OlpPair) -> frozenset[int]:
     return frozenset(length_count_bounds(pair).delta_bar)
 
 
-@dataclass(frozen=True)
-class LengthCountBounds:
+class LengthCountBounds(NamedTuple):
     """Per-length (min, max) difference counts for both sides of the
     multiset equation: delta = within-side differences, delta_bar =
     cross differences. Lengths absent from a table have (0, 0)."""
@@ -478,8 +474,7 @@ def length_count_bounds(pair: OlpPair, t: int = 2) -> LengthCountBounds:
     return LengthCountBounds(_unpack(p_lo + n_lo, p_hi + n_hi, width), _unpack(*delta_bar, width))
 
 
-@dataclass(frozen=True)
-class ExistenceWitness:
+class ExistenceWitness(NamedTuple):
     """Cross pair (k in olp(P), l in olp(N)) whose forced difference
     lengths are impossible within either describing set."""
 

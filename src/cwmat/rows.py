@@ -21,10 +21,11 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
+from typing import NamedTuple
 
 from .orbits import units
 
@@ -35,22 +36,19 @@ _COEFF_TO_CHAR = {-1: "-", 0: "0", 1: "+"}
 _COEFF_TO_KEY = {-1: "a", 0: "b", 1: "c"}
 
 
-@dataclass(frozen=True)
-class CirculantRow:
+class CirculantRow(namedtuple("CirculantRow", "n coeffs")):
     """First row of a circulant {-1,0,+1} matrix of order n."""
 
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        coeffs = tuple(map(int, self.coeffs))
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+    def __new__(cls, n: int, coeffs):
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        # index, not int: a float or a string is an error, not a coefficient
+        coeffs = tuple(map(index, coeffs))
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         if not set(coeffs) <= {-1, 0, 1}:
             raise ValueError("coefficients must lie in {-1, 0, +1}")
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (n, coeffs))
 
     @classmethod
     def from_string(cls, text: str) -> "CirculantRow":
@@ -80,16 +78,14 @@ class CirculantRow:
         return CirculantRow(self.n, tuple(-c for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class DescribingSets:
+class DescribingSets(NamedTuple):
     """Index sets of the +1 entries (P) and the -1 entries (N)."""
 
     P: frozenset[int]
     N: frozenset[int]
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """Shift s and unit t realizing row2 = x^s * row1(x^t)."""
 
     s: int

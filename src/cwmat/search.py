@@ -46,10 +46,11 @@ equal canonical forms.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .multisets import cw_equation_holds
 from .orbits import ModulusContext, hosting_divisors, orbit_count, orbits_of_length, units
@@ -80,34 +81,30 @@ from .rows import (
 MAX_ASSIGNMENTS = 10**6
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
     """Order, weight, multiplier, and orbit length partition pair, with
     at most MAX_ASSIGNMENTS orbit assignments."""
 
-    n: int
-    weight: int
-    t: int
-    pair: OlpPair
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        if self.t < 2:
-            raise ValueError(f"multiplier base must be at least 2, got {self.t}")
-        if gcd(self.t, self.n) != 1:
-            raise ValueError(f"t={self.t} is not a unit mod {self.n}")
-        p_size, n_size = describing_set_sizes(self.weight)
-        if (self.pair.p.total, self.pair.n.total) != (p_size, n_size):
+    def __new__(cls, n: int, weight: int, t: int, pair: OlpPair):
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        if t < 2:
+            raise ValueError(f"multiplier base must be at least 2, got {t}")
+        if gcd(t, n) != 1:
+            raise ValueError(f"t={t} is not a unit mod {n}")
+        p_size, n_size = describing_set_sizes(weight)
+        if (pair.p.total, pair.n.total) != (p_size, n_size):
             raise ValueError(
                 f"olp sums must be ({p_size}, {n_size}) for weight "
-                f"{self.weight}, got ({self.pair.p.total}, {self.pair.n.total})"
+                f"{weight}, got ({pair.p.total}, {pair.n.total})"
             )
+        self = tuple.__new__(cls, (n, weight, t, pair))
         count = self.assignment_count
         if count > MAX_ASSIGNMENTS:
             raise ValueError(
                 f"{count} orbit assignments exceed the search bound of {MAX_ASSIGNMENTS}"
             )
+        return self
 
     @cached_property
     def assignment_count(self) -> int:
@@ -123,8 +120,7 @@ class SearchSpec:
         return count
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """representative is the canonical form; members are found rows."""
 
     representative: CirculantRow
@@ -135,8 +131,7 @@ class EquivalenceClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     spec: SearchSpec
     candidates_tested: int
     solutions: tuple[CirculantRow, ...]
@@ -306,8 +301,7 @@ def class_contractible(row: CirculantRow, d: int) -> bool:
     return any(len({(u * i) % d for i in support}) <= 1 for u in units(row.n))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     n: int
     weight: int
     classes: tuple[CirculantRow, ...]

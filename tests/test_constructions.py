@@ -28,8 +28,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_import_cwmat_leaves_numpy_unloaded_until_a_construction_is_used():
     code = (
-        "import sys, cwmat\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cwmat\n"
         "assert 'numpy' not in sys.modules, 'import cwmat loaded numpy'\n"
+        # the records are tuples: no dataclasses machinery and what it imports
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)\n"
+        "assert not heavy, f'import cwmat loaded {sorted(heavy)}'\n"
         "from cwmat import kronecker\n"
         "assert 'numpy' in sys.modules and kronecker is cwmat.constructions.kronecker\n"
         "namespace = {}\n"

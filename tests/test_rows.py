@@ -76,13 +76,23 @@ def test_row_construction_validates():
 
 
 def test_row_construction_normalizes_to_ints():
-    r = CirculantRow(3, (True, False, -1.0))
+    r = CirculantRow(3, (True, False, np.int64(-1)))
     assert r.coeffs == (1, 0, -1)
     assert all(type(c) is int for c in r.coeffs)
+    assert CirculantRow(3, np.array([1, 0, -1])).coeffs == (1, 0, -1)
     with pytest.raises(ValueError, match="lie in"):
         CirculantRow(2, (True, 2))
     with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
         CirculantRow(2, (True, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "n,coeffs", [(3, (0.7, 1.2, -1.9)), (3, (1.0, 0, -1)), (2, ("1", "-1")), (1, (np.float64(1),))]
+)
+def test_row_construction_rejects_non_integer_coefficients(n, coeffs):
+    # rounding or parsing them would invent a row the caller never gave
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        CirculantRow(n, coeffs)
 
 
 def test_string_round_trip():
