@@ -4,13 +4,13 @@ The dense side exists to make two matrix facts executable: the
 Kronecker product of weighing matrices is a weighing matrix of product
 order and weight, and conjugating a block diagonal of m equal circulant
 blocks by the interleave permutation yields a single circulant, namely
-the circulant of the lifted row. Nothing here is a performance surface.
+the circulant of the lifted row. A matrix is a tuple of row tuples of
+Python ints. Nothing here is a performance surface.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-
-import numpy as np
+from operator import index, mul
 
 from .rows import CirculantRow
 from .search import lift
@@ -19,43 +19,57 @@ from .search import lift
 class DenseWeighingMatrix:
     """Square matrix over {-1, 0, +1} with A A^T = weight * I.
 
-    The weight is read off the Gram matrix, so construction fails on
-    anything that is not a weighing matrix.
+    Entries are taken by operator.index, so a float or a string is a
+    TypeError. The weight is read off the Gram matrix, so construction
+    fails on anything that is not a weighing matrix.
     """
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=int)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isin(a, (-1, 0, 1)).all():
+        a = tuple(tuple(map(index, row)) for row in entries)
+        v = len(a)
+        widths = {len(row) for row in a}
+        if widths - {v}:
+            width = widths.pop() if len(widths) == 1 else sorted(widths)
+            raise ValueError(f"expected a square matrix, got shape {(v, width)}")
+        if not {c for row in a for c in row} <= {-1, 0, 1}:
             raise ValueError("entries must lie in {-1, 0, +1}")
-        gram = a @ a.T
-        k = int(gram[0, 0]) if a.shape[0] else 0
-        if not np.array_equal(gram, k * np.eye(a.shape[0], dtype=int)):
+        k = sum(map(abs, a[0])) if v else 0
+        # A A^T is symmetric: pairs i <= j suffice.
+        if any(sum(map(mul, a[i], a[j])) != k * (i == j) for i in range(v) for j in range(i, v)):
             raise ValueError("A A^T is not a multiple of the identity")
         self.entries = a
-        self.order = int(a.shape[0])
+        self.order = v
         self.weight = k
 
     @classmethod
     def identity(cls, v: int) -> "DenseWeighingMatrix":
-        return cls(np.eye(v, dtype=int))
+        if v < 0:
+            raise ValueError(f"order must be non-negative, got {v}")
+        return cls(_eye(v))
 
     @classmethod
     def from_circulant_row(cls, row: CirculantRow) -> "DenseWeighingMatrix":
         return cls(circulant(row))
 
 
-def circulant(row: CirculantRow) -> np.ndarray:
+def _eye(v: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(v)) for i in range(v))
+
+
+def _kron(a, b) -> tuple[tuple[int, ...], ...]:
+    """Entry (i q + r, j q + s) is a[i][j] * b[r][s], for b of order q."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def circulant(row: CirculantRow) -> tuple[tuple[int, ...], ...]:
     """Dense circulant: entry (i, j) is row[(j - i) mod n]."""
-    n = row.n
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return np.asarray(row.coeffs, dtype=int)[idx]
+    n, c = row.n, row.coeffs
+    return tuple(c[n - i :] + c[: n - i] for i in range(n))
 
 
 def kronecker(A: DenseWeighingMatrix, B: DenseWeighingMatrix) -> DenseWeighingMatrix:
     """Kronecker product; order and weight multiply."""
-    return DenseWeighingMatrix(np.kron(A.entries, B.entries))
+    return DenseWeighingMatrix(_kron(A.entries, B.entries))
 
 
 class InterleavePermutation(namedtuple("InterleavePermutation", "k m")):
@@ -78,15 +92,14 @@ class InterleavePermutation(namedtuple("InterleavePermutation", "k m")):
         r, s = divmod(i, self.m)
         return s * self.k + r
 
-    def as_array(self) -> np.ndarray:
-        i = np.arange(self.size)
-        return (i % self.m) * self.k + i // self.m
+    def as_array(self) -> tuple[int, ...]:
+        """apply(i) for every index i, in order."""
+        return tuple(s * self.k + r for r in range(self.k) for s in range(self.m))
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Permutation matrix P with P[i, j] = 1 iff j = apply(i)."""
-        p = np.zeros((self.size, self.size), dtype=int)
-        p[np.arange(self.size), self.as_array()] = 1
-        return p
+        eye = _eye(self.size)
+        return tuple(eye[j] for j in self.as_array())
 
     @property
     def inverse(self) -> "InterleavePermutation":
@@ -102,13 +115,12 @@ def conjugate_to_circulant(W: CirculantRow, m: int) -> CirculantRow:
     """
     if m < 1:
         raise ValueError(f"block count must be positive, got {m}")
-    n = W.n
-    A = np.kron(np.eye(m, dtype=int), circulant(W))
-    sigma = InterleavePermutation(m, n).as_array()
-    B = np.empty_like(A)
-    B[sigma[:, None], sigma[None, :]] = A
-    first = CirculantRow(n * m, tuple(int(c) for c in B[0]))
-    if not np.array_equal(B, circulant(first)):
+    A = _kron(_eye(m), circulant(W))
+    # B[sigma(i)][sigma(j)] = A[i][j], read through the inverse interleave
+    tau = InterleavePermutation(m, W.n).inverse.as_array()
+    B = tuple(tuple(map(A[i].__getitem__, tau)) for i in tau)
+    first = CirculantRow(len(B), B[0])
+    if B != circulant(first):
         raise AssertionError("conjugated block diagonal is not circulant")
     if first.coeffs != lift(W, m).coeffs:
         raise AssertionError("conjugated circulant differs from the lifted row")

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .rows import _checked_sets
+
 
 def cw_equation_holds(P, N, n: int) -> bool:
     """Whether the within-side differences of P and N equal the cross
-    differences +-(p - q), one Counter per side."""
-    P, N = set(P), set(N)
-    if P & N:
-        raise ValueError(f"P and N overlap: {sorted(P & N)}")
+    differences +-(p - q), one Counter per side; sets checked as in verify_sets."""
+    P, N = _checked_sets(n, P, N)
     within = Counter((x - y) % n for X in (P, N) for x in X for y in X if x != y)
     cross = Counter((d * (p - q)) % n for p in P for q in N for d in (1, -1))
     return within == cross

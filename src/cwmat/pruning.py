@@ -41,8 +41,8 @@ come from one recursion that drops a subtree once a run of equal parts
 m exceeds caps[m]. feasible_pairs checks the combined caps only at the
 tight lengths ell, floor(|P|/ell) + floor(|N|/ell) > caps[ell], by one
 AND per tight length and N olp over bitmasks of the P olps. Existence
-reads each olp's distinct parts and pol_delta as a bitmask (bit m for
-length m), the OR of the candidate bitmasks of its own (k, l), and,
+reads each olp's distinct parts and pol_delta as a bitmask over the
+table fields, the OR of the candidate bitmasks of its own (k, l), and,
 once per run of pairs sharing olp(N), a table k -> the crosses (k, l)
 whose candidates miss pol_delta(N), with the ExistenceWitness each
 fires, built once per (k, l) and shared. A pair costs one lookup per
@@ -514,7 +514,7 @@ class PruneReport(NamedTuple):
 
 
 def _mask(lengths) -> int:
-    """Bitmask with bit m set for each length m."""
+    """Bitmask with bit m set for each m."""
     return sum(1 << m for m in lengths)
 
 
@@ -528,10 +528,10 @@ def _existence_profile(olp: Olp) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _cross_witness(k: int, l: int) -> tuple[int, ExistenceWitness]:
-    """The candidate lengths of a cross (k, l) as a bitmask, and the
-    witness they give when none is possible within a side."""
+    """The candidate lengths of a cross (k, l) as a bitmask over their
+    fields, and the witness they give when none is possible within a side."""
     cand = tuple(sorted(diff_length_candidates(k, l)))
-    return _mask(cand), ExistenceWitness(k, l, cand)
+    return _mask(map(_field, cand)), ExistenceWitness(k, l, cand)
 
 
 @lru_cache(maxsize=None)

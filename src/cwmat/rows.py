@@ -102,19 +102,26 @@ def describing_sets(row: CirculantRow) -> DescribingSets:
 
 def from_sets(n: int, P, N) -> CirculantRow:
     """Row with +1 on P, -1 on N, 0 elsewhere. Inverse of describing_sets."""
-    P, N = set(P), set(N)
-    if P & N:
-        raise ValueError(f"P and N overlap: {sorted(P & N)}")
+    P, N = _checked_sets(n, P, N)
     coeffs = [0] * n
     for i in P:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for order {n}")
         coeffs[i] = 1
     for i in N:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for order {n}")
         coeffs[i] = -1
     return CirculantRow(n, tuple(coeffs))
+
+
+def _checked_sets(n: int, P, N) -> tuple[frozenset[int], frozenset[int]]:
+    """P and N as disjoint frozensets of ints in range(n), by operator.index."""
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    P, N = frozenset(map(index, P)), frozenset(map(index, N))
+    if P & N:
+        raise ValueError(f"P and N overlap: {sorted(P & N)}")
+    for i in (*P, *N):
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for order {n}")
+    return P, N
 
 
 def periodic_autocorrelation(row: CirculantRow, lag: int) -> int:
@@ -168,18 +175,11 @@ def verify_sets(n: int, P, N) -> int | None:
     most k(k - 1)/2 lag pairs {s, n - s} that differences of the k
     support indices reach costs a few shifts and popcounts of n-bit
     integers, O(n / word size) each; the first nonzero lag ends the test.
-    Overlapping or out-of-range indices raise ValueError, as in from_sets.
+    Invalid sets raise ValueError, as in from_sets (see _checked_sets).
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     # Python ints: a fixed-width integer (numpy's) would wrap in the masks.
-    P, N = frozenset(map(index, P)), frozenset(map(index, N))
-    if P & N:
-        raise ValueError(f"P and N overlap: {sorted(P & N)}")
+    P, N = _checked_sets(n, P, N)
     support = (*P, *N)
-    for i in support:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for order {n}")
     pm = sum(1 << i for i in P)
     nm = sum(1 << i for i in N)
     return len(support) if _weighing(n, support, pm, nm, 1) else None

@@ -14,6 +14,7 @@ from cwmat import (
     periodic_autocorrelation,
     units,
     verify_cw,
+    verify_sets,
 )
 from golden import (
     KNOWN_CW_7_4_N,
@@ -46,6 +47,22 @@ def test_cw_equation_examples():
     assert not cw_equation_holds({0, 1}, set(), 7)
     with pytest.raises(ValueError, match="overlap"):
         cw_equation_holds({1}, {1}, 7)
+
+
+@pytest.mark.parametrize(
+    "P, N, error, match",
+    [
+        ({0.5}, set(), TypeError, "integer"),
+        ({5}, {36}, ValueError, "index 36 out of range for order 31"),
+        ({0, 31}, set(), ValueError, "index 31 out of range for order 31"),
+    ],
+    ids=["float-index", "congruent-overlap", "index-equal-to-order"],
+)
+def test_cw_equation_rejects_what_verify_sets_rejects(P, N, error, match):
+    """The sets are checked as verify_sets checks them, before any counting."""
+    for check in (cw_equation_holds, lambda P, N, n: verify_sets(n, P, N)):
+        with pytest.raises(error, match=match):
+            check(P, N, 31)
 
 
 @given(ternary_rows)

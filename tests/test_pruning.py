@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from cwmat.pruning import (
     _capped_partition_count,
     _cross_row,
     _existence_profile,
+    _field,
     _length_at,
     _mask,
     _width,
@@ -51,6 +56,8 @@ from golden import (
     PARTITIONS_OF_6,
 )
 from orbit_lister import orbit_lengths
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _caps(size: int, t: int) -> list[int]:
@@ -439,7 +446,7 @@ def test_existence_masks_and_cross_rows_match_the_tables():
                 for olp in feasible_partitions(size, t):
                     parts, mask = _existence_profile(olp)
                     assert parts == tuple(sorted(set(olp.parts))), str(olp)
-                    assert mask == _mask(pol_delta(olp)), (weight, t, str(olp))
+                    assert mask == _mask(map(_field, pol_delta(olp))), (weight, t, str(olp))
     for weight in (25, 36):
         for t in (2, 3):
             existence = survivors(prune(feasible_pairs(weight, t), level="existence", t=t))
@@ -632,6 +639,30 @@ def test_prune_weight_49_completes():
     assert elapsed < 60.0, f"W = 49 prune took {elapsed:.1f}s, budget 60s"
     assert set(counting) <= set(existence) <= set(pairs)
     assert (len(pairs), len(existence), len(counting)) == W49_REGRESSION_COUNTS
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux VmHWM")
+def test_prune_of_long_orbits_runs_in_bounded_memory():
+    """Existence masks hold one bit per length seen, at its table field, so
+    one cross of a 40000- and a 39999-orbit needs no 1.6e9-bit mask."""
+    # VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork and exec,
+    # so the child would report this test process's own peak.
+    code = (
+        "from cwmat import Olp, OlpPair, prune\n"
+        "(report,) = prune([OlpPair(Olp((40000,)), Olp((39999,)))])\n"
+        "print(report.verdict, report.reason)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict, peak_kib = proc.stdout.splitlines()
+    assert verdict == "rejected cross (40000,39999) forces length in {1599960000}"
+    assert int(peak_kib) < 64 * 1024, f"peak RSS {int(peak_kib) / 1024:.0f} MiB"
 
 
 def test_prune_weight_4_pair_survives():
