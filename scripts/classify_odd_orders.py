@@ -2,18 +2,25 @@
 """Tabulate equivalence class counts of CW(n, 16) over a range of odd
 orders, cross-checking against exhaustive search where that is cheap."""
 import argparse
+import sys
 import time
 
 from cwmat import full_classification
+from cwmat.search import check_classified_weight
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=105)
     ap.add_argument("--weight", type=int, default=16)
     ap.add_argument("--zeros", action="store_true",
                     help="also print orders with no classes")
     args = ap.parse_args()
+    try:
+        check_classified_weight(args.weight)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     start = time.perf_counter()
     total = 0
@@ -27,7 +34,8 @@ def main() -> None:
                 print(f"  {row.to_string()}")
     print(f"total classes up to {args.max_n}: {total}  "
           f"[{time.perf_counter() - start:.2f}s]")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,11 +2,12 @@
 """Print the cap-feasible olp pair table for a square weight, with the
 prune verdict and firing witnesses for each pair."""
 import argparse
+import sys
 
 from cwmat import feasible_pairs, prune
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--weight", type=int, default=16)
     ap.add_argument("--multiplier", type=int, default=2)
@@ -15,7 +16,11 @@ def main() -> None:
                     help="print every firing witness, not just the first")
     args = ap.parse_args()
 
-    pairs = feasible_pairs(args.weight, args.multiplier)
+    try:
+        pairs = feasible_pairs(args.weight, args.multiplier)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = prune(pairs, level=args.level, t=args.multiplier)
     for i, r in enumerate(reports, 1):
         mark = "." if r.verdict == "accepted" else "x"
@@ -26,7 +31,8 @@ def main() -> None:
                 print(f"       {w}")
     kept = sum(1 for r in reports if r.verdict == "accepted")
     print(f"{len(reports)} pairs -> {kept} survive at level {args.level}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

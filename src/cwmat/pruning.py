@@ -68,18 +68,14 @@ from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
 class Olp(namedtuple("Olp", "parts")):
     """Orbit length partition: a multiset of positive part lengths."""
 
+    __slots__ = ()
+
     def __new__(cls, parts):
         # index, not int: a float or a string is an error, not a part
         parts = tuple(sorted(map(index, parts)))
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
-        self = tuple.__new__(cls, (parts,))
-        # every per-olp cache hashes the olp; hash it once, as its tuple
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (parts,))
 
     @classmethod
     def from_string(cls, text: str) -> "Olp":

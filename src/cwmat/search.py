@@ -24,24 +24,27 @@ divides M, the lcm of t^ell - 1 over the lengths the feasible pairs use; so
 the cross-check decides hosting once per g = gcd(n, M), not once per n.
 
 base_orders computes, per part length with multiplicity, which moduli
-can host enough orbits of that length; the lcms of one choice per
-length are the orders worth searching. full_classification derives its
-rule from them. A solution at n realizing a pair that survives pruning
-is a lift of one at d, the lcm of the pair's base orders dividing n.
-Lifts of inequivalent rows stay inequivalent: an equivalence restricts
-to their subgroup. At odd n, equivalent rows fixed by t = 2 differ by a
-unit alone (a shift would be a period of the support, and no odd-order
-subgroup tiles 16 points), which keeps the olp, so classes of different
-pairs never merge. The classes at n are thus, pair by pair, the lifts
-of the classes at d; as base orders divide M, the rule too is found
-once per g. For small orders the answer is re-derived by searching
-every pair that Z_n can host from scratch. It canonicalizes once per
-class, not per row: a new hit (a union of t-orbits, so one unit per
-coset of <t> in U(n) is scanned) records its images row(x^u), u a coset
-leader, under its form, and a later hit among them needs no call. The
-cross-check merges the per-pair classes by their canonical
-representatives and matches each rule representative to a class by
-equal canonical forms.
+can host enough orbits of that length; the lcms of one choice per length
+are the orders worth searching. full_classification derives its rule
+from them and from pruning, not from the cross-check's hosting test: the
+feasible pairs are pruned once, each survivor's base orders are found
+once, and a survivor is taken at n exactly when one of its base orders
+divides n. A solution at n realizing such a pair is a lift of one at d,
+the lcm of the pair's base orders dividing n. Lifts of inequivalent rows
+stay inequivalent: an equivalence restricts to their subgroup. At odd n,
+equivalent rows fixed by t = 2 differ by a unit alone (a shift would be
+a period of the support, and no odd-order subgroup tiles 16 points),
+which keeps the olp, so classes of different pairs never merge. The
+classes at n are thus, pair by pair, the lifts of the classes at d; as
+base orders divide M, the rule too is found once per g. For small orders
+the answer is re-derived by searching every pair that Z_n can host from
+scratch. It canonicalizes once per class, not per row: a new hit (a
+union of t-orbits, so one unit per coset of <t> in U(n) is scanned)
+records its images row(x^u), u a coset leader, under its form, and a
+later hit among them needs no call. The cross-check merges the per-pair
+classes by their canonical representatives, which come out sorted, and
+compares them with the sorted canonical forms of the rule's
+representatives in one step.
 """
 from __future__ import annotations
 
@@ -74,8 +77,8 @@ from .rows import (
 )
 
 
-# Most orbit assignments one search may enumerate: about a minute (60 us
-# per candidate at n = 315, 2-core x86, CPython 3.11).
+# Most orbit assignments one search may enumerate: about 20 s (15-22 us per candidate, whole
+# searches of (1^1 3^1 6^1, 6^1) at n = 63 and 315, best of 5, 2-core x86, CPython 3.11).
 # Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
 # about 2.9e18 (1^10, 1^6 at n = 63).
 MAX_ASSIGNMENTS = 10**6
@@ -211,9 +214,8 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
                 image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
                 canon[image] = rep
     classes = _group((canon[key], row) for key, row in seen.items())
-    class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
-    solutions = sorted(seen.values(), key=lambda r: class_of[r.coeffs])
-    return SearchReport(spec, tested, tuple(solutions), classes)
+    solutions = tuple(seen[key] for key in sorted(seen, key=canon.__getitem__))
+    return SearchReport(spec, tested, solutions, classes)
 
 
 def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]:
@@ -233,15 +235,12 @@ def _group(pairs: Iterable[tuple[CirculantRow, CirculantRow]]) -> tuple[Equivale
     """Classes from (canonical representative, row) pairs.
 
     Equal representatives mean one class; members and classes are
-    sorted by coefficients (-1 < 0 < +1, the row order).
+    sorted as rows, which within one order is by coefficients (-1 < 0 < +1).
     """
-    groups: dict[tuple, tuple[CirculantRow, list[CirculantRow]]] = {}
+    groups: dict[CirculantRow, list[CirculantRow]] = {}
     for rep, row in pairs:
-        groups.setdefault(rep.coeffs, (rep, []))[1].append(row)
-    return tuple(
-        EquivalenceClass(rep, tuple(sorted(rows, key=lambda r: r.coeffs)))
-        for _, (rep, rows) in sorted(groups.items())
-    )
+        groups.setdefault(rep, []).append(row)
+    return tuple(EquivalenceClass(rep, tuple(sorted(groups[rep]))) for rep in sorted(groups))
 
 
 def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
@@ -312,12 +311,21 @@ class ClassificationResult(NamedTuple):
         return len(self.classes)
 
 
-def _cross_check_error(what: str, reps, classes) -> RuntimeError:
-    """A cross-check failure naming both sides as sign strings."""
-    rule = ", ".join(r.to_string() for r in reps) or "none"
-    search = ", ".join(c.representative.to_string() for c in classes) or "none"
+def _cross_check_error(n: int, reps, forms, found) -> RuntimeError:
+    """A cross-check failure naming, as sign strings, the rule
+    representatives whose canonical form is no search class, the search
+    class representatives found that are no such form, then both sides."""
+
+    def listed(rows) -> str:
+        return ", ".join(r.to_string() for r in rows) or "none"
+
+    no_class = [r for r, form in zip(reps, forms) if form not in found]
+    no_rule = [c for c in found if c not in forms]
     return RuntimeError(
-        f"{what}; rule representatives: [{rule}]; search class representatives: [{search}]"
+        f"rule predicts {len(reps)} classes at n={n}, search found {len(found)}; "
+        f"rule representatives with no search class: [{listed(no_class)}]; "
+        f"search classes with no rule representative: [{listed(no_rule)}]; "
+        f"rule representatives: [{listed(reps)}]; search class representatives: [{listed(found)}]"
     )
 
 
@@ -334,21 +342,19 @@ def _host_modulus(weight: int, t: int) -> int:
     return lcm(*(t**ell - 1 for _, demand in pairs for ell, _ in demand))
 
 
+_orbit_count = lru_cache(maxsize=None)(orbit_count)
+
+
 @lru_cache(maxsize=None)
 def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
-    """The feasible pairs, in order, whose demand Z_g can host, for g dividing M."""
+    """The feasible pairs, in order, whose demand Z_g can host, for g dividing M;
+    the count of length-ell orbits, a function of gcd(g, t^ell - 1), is found once per gcd."""
     pairs = _feasible_pair_demands(weight, t)
     lengths = {ell for _, demand in pairs for ell, _ in demand}
-    counts = {ell: orbit_count(g, ell, t) for ell in lengths}
+    counts = {ell: _orbit_count(gcd(g, t**ell - 1), ell, t) for ell in lengths}
     return tuple(
         pair for pair, demand in pairs if all(counts[ell] >= need for ell, need in demand)
     )
-
-
-@lru_cache(maxsize=None)
-def _survives(pair: OlpPair, t: int) -> bool:
-    """Whether the pair survives counting-level pruning, pruned once."""
-    return bool(survivors(prune([pair], t=t)))
 
 
 @lru_cache(maxsize=None)
@@ -358,19 +364,26 @@ def _base_classes(pair: OlpPair, weight: int, t: int, d: int) -> tuple[Equivalen
 
 
 @lru_cache(maxsize=None)
+def _rule_pairs(weight: int, t: int) -> tuple[tuple[OlpPair, tuple[int, ...]], ...]:
+    """Each pair that survives counting-level pruning, in order, with its base orders."""
+    pairs = [pair for pair, _ in _feasible_pair_demands(weight, t)]
+    return tuple((pair, tuple(base_orders(pair, t))) for pair in survivors(prune(pairs, t=t)))
+
+
+@lru_cache(maxsize=None)
 def _rule_bases(weight: int, t: int, g: int) -> tuple[CirculantRow, ...]:
     """Base representatives of the classes at every odd n with gcd(n, M) = g.
 
-    For each pair that Z_g hosts and that survives pruning, in order, the
-    class representatives at d, the lcm of the pair's base orders that
-    divide g (those that divide n, as base orders divide M). The classes
-    at n are their lifts (see the module docstring).
+    For each pair that survives pruning and has a base order dividing g,
+    in order, the class representatives at d, the lcm of the pair's base
+    orders that divide g (those that divide n, as base orders divide M).
+    The classes at n are their lifts (see the module docstring).
     """
     reps = []
-    for pair in _hosted_pairs(weight, t, g):
-        if _survives(pair, t):
-            d = lcm(*(b for b in base_orders(pair, t) if g % b == 0))
-            reps.extend(c.representative for c in _base_classes(pair, weight, t, d))
+    for pair, orders in _rule_pairs(weight, t):
+        dividing = [b for b in orders if g % b == 0]
+        if dividing:
+            reps.extend(c.representative for c in _base_classes(pair, weight, t, lcm(*dividing)))
     return tuple(reps)
 
 
@@ -407,14 +420,16 @@ def full_classification(
 ) -> ClassificationResult:
     """Equivalence classes of CW(n, 16) for odd n, derived from the pipeline.
 
-    For each olp pair that survives pruning, in order, the classes are
-    the lifts of the classes found at the lcm of the pair's base orders
-    that divide n; this reproduces the paper's count of classes.
-    cross_check (default: on for n <= 105) re-derives the answer by
-    exhaustive search over every candidate olp pair, merges the per-pair
-    classes by their canonical representative, finds each rule
-    representative's class by equal canonical forms, and fails loudly on
-    any mismatch.
+    For each olp pair that survives pruning and has a base order dividing
+    n, in order, the classes are the lifts of the classes found at the
+    lcm of the pair's base orders that divide n; this reproduces the
+    paper's count of classes. cross_check (default: on for n <= 105)
+    re-derives the answer by exhaustive search over every olp pair that
+    Z_n can host, merges the per-pair classes by their canonical
+    representative, and requires those representatives to be exactly
+    the sorted canonical forms of the rule's representatives. On any
+    mismatch it raises RuntimeError naming the representatives that
+    match nothing on the other side, then both sides.
     """
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
@@ -427,25 +442,8 @@ def full_classification(
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        classes = _search_all_pairs(n, weight, t)
-        if len(classes) != len(reps):
-            raise _cross_check_error(
-                f"rule predicts {len(reps)} classes at n={n}, search found {len(classes)}",
-                reps,
-                classes,
-            )
-        # Each class representative is already canonical, so class
-        # identity is equality of canonical forms.
-        remaining = list(classes)
-        for rep in reps:
-            canon = canonical_form(rep, multiplier=t)
-            matches = [c for c in remaining if c.representative == canon]
-            if len(matches) != 1:
-                raise _cross_check_error(
-                    f"rule representative {rep.to_string()} at n={n} matches "
-                    f"{len(matches)} search classes",
-                    reps,
-                    classes,
-                )
-            remaining.remove(matches[0])
+        found = [c.representative for c in _search_all_pairs(n, weight, t)]
+        forms = [canonical_form(rep, multiplier=t) for rep in reps]
+        if sorted(forms) != found:
+            raise _cross_check_error(n, reps, forms, found)
     return ClassificationResult(n, weight, tuple(reps), cross_check)

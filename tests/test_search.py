@@ -32,6 +32,7 @@ from cwmat import (
     normalize_sign,
     olp_of_set,
     periodic_autocorrelation,
+    prune,
     sort_key,
     verify_cw,
 )
@@ -43,6 +44,7 @@ from cwmat.search import (
     _host_modulus,
     _hosted_pairs,
     _rule_bases,
+    _rule_pairs,
     _search_all_pairs,
 )
 from golden import (
@@ -482,6 +484,27 @@ def test_derived_rule_matches_the_search_beyond_weight_16(weight, t, base):
         ], f"n={n}"
 
 
+@pytest.mark.parametrize(
+    "weight,t,n",
+    [(16, 2, n) for n in (21, 31, 63, 93)] + [(4, 2, 7), (4, 2, 21), (9, 3, 13), (9, 3, 26)],
+)
+def test_classes_up_to_negation_are_the_same_classes(weight, t, n):
+    """Equivalence keeps |P| and |N|, which differ at a square weight, so no
+    row is equivalent to its negation: up_to_negation changes only the
+    representative shown, to its negation's canonical form (more -1 than +1)."""
+    classes = 0
+    for pair in _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t))):
+        report = exhaustive_search(SearchSpec(n, weight, t, pair))
+        rep_of = {c.members: c.representative for c in report.classes}
+        negated = classify(report.solutions, up_to_negation=True)
+        assert sorted(c.members for c in negated) == sorted(rep_of), f"n={n} {pair}"
+        for c in negated:
+            assert c.representative == canonical_form(-rep_of[c.members])
+            assert c.representative.coeffs.count(-1) > c.representative.coeffs.count(1)
+        classes += len(negated)
+    assert classes > 0
+
+
 @pytest.mark.parametrize("n,weight,t", [(9, 16, 3), (15, 16, 3), (21, 4, 3), (6, 16, 2)])
 def test_search_all_pairs_refuses_a_multiplier_that_is_not_a_unit(n, weight, t):
     # gcd(n, M) is always a unit, so this is checked on n itself
@@ -636,6 +659,63 @@ def test_cross_check_failure_names_both_sides(monkeypatch, wrong):
     rule_side, search_side = str(exc.value).split("search class representatives")
     assert all(row.to_string() in rule_side for row in wrong)
     assert all(canonical_form(row).to_string() in search_side for row in (W1, W2))
+
+
+def test_cross_check_failure_names_a_class_the_rule_lacks(monkeypatch):
+    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: (W1,))
+    with pytest.raises(RuntimeError) as exc:
+        full_classification(16, 31)
+    message = str(exc.value)
+    assert "rule representatives with no search class: [none]" in message
+    missing = canonical_form(W2).to_string()
+    assert f"search classes with no rule representative: [{missing}]" in message
+    assert message.count("search class representatives") == 1
+
+
+@pytest.fixture
+def fresh_rule():
+    """The rule's caches, empty before and after the test."""
+    _rule_bases.cache_clear()
+    _rule_pairs.cache_clear()
+    yield
+    _rule_bases.cache_clear()
+    _rule_pairs.cache_clear()
+
+
+def test_the_rule_prunes_once_and_finds_base_orders_once_per_survivor(monkeypatch, fresh_rule):
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr("cwmat.search.prune", counted("prune", prune))
+    monkeypatch.setattr("cwmat.search.base_orders", counted("base_orders", base_orders))
+    counts = [full_classification(16, n, cross_check=False).count for n in range(1, 2002, 2)]
+    assert sum(counts) > 0
+    assert calls == {"prune": 1, "base_orders": 3}
+
+
+def test_a_hosting_fault_does_not_reach_the_rule(monkeypatch, fresh_rule):
+    """The rule does not read the cross-check's hosting: when that drops
+    the pair of both classes at 31, the rule still predicts them and the
+    cross-check fails instead of agreeing on none."""
+    dropped = _pair("5^2", "1^1 5^1")
+    real = _hosted_pairs
+    monkeypatch.setattr(
+        "cwmat.search._hosted_pairs",
+        lambda weight, t, g: tuple(p for p in real(weight, t, g) if p != dropped),
+    )
+    with pytest.raises(RuntimeError) as exc:
+        full_classification(16, 31, cross_check=True)
+    reps = [c.representative for c in exhaustive_search(_spec(31, "5^2", "1^1 5^1")).classes]
+    assert len(reps) == 2
+    named = ", ".join(r.to_string() for r in reps)
+    assert f"rule representatives with no search class: [{named}]" in str(exc.value)
+    assert "search classes with no rule representative: [none]" in str(exc.value)
 
 
 def test_full_classification_validates():
