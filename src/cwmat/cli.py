@@ -8,8 +8,10 @@ objects always carry the same fields in the same order: n, weight, row,
 P, N, olpP, olpN.
 
 Exit codes: 0 success, 1 the verified row is not a weighing row,
-2 usage or parse error, or an --out FILE that cannot be written (found
-before any work; FILE is replaced only by a complete payload).
+2 usage or parse error, an --out FILE that cannot be written (found
+before any work; FILE is replaced only by a complete payload), or a
+standard output closed by its reader (--out FILE, written first, is
+then complete).
 """
 from __future__ import annotations
 
@@ -354,6 +356,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_escape_sign_row(list(argv)))
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # The reader of stdout is gone; the interpreter's final flush of
+        # what is still buffered goes to devnull rather than failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage_error("cannot write standard output: broken pipe")
+
+
+def _run(args) -> int:
     if not args.out:
         return args.func(args)
     try:  # before any work, so an unwritable --out fails at once

@@ -6,12 +6,13 @@ unions of t-orbits induces a pair of orbit length partitions
 enumerates the partition pairs compatible with the orbit-count caps and
 prunes them with a single divisibility calculus:
 
-  diff_length_candidates(k, l) = { m > 1 : m | lcm(k,l),
-                                   k | lcm(l,m), l | lcm(m,k) }
+  diff_length_candidates(k, l, t) = { m : m | lcm(k,l), k | lcm(l,m),
+                                       l | lcm(m,k), m > 1 if t = 2 }
 
 is a sound superset of the possible orbit lengths of a difference a - b
-with ol(a) = k, ol(b) = l; the test suite checks it collapses to the
-expected exact sets in the coprime and shared-prime-factor cases.
+of distinct a, b with ol(a) = k, ol(b) = l (doubling fixes no nonzero
+a - b); the test suite checks it collapses to the expected exact sets
+in the coprime and shared-prime-factor cases.
 Pruning then runs at two levels:
 
   existence  a cross pair (k in olp(P), l in olp(N)) forces difference
@@ -318,10 +319,13 @@ def feasible_pairs(weight: int, t: int = 2) -> list[OlpPair]:
 
 
 @lru_cache(maxsize=None)
-def diff_length_candidates(k: int, l: int) -> frozenset[int]:
-    """Possible values of ol(a - b) for distinct a, b with ol(a)=k, ol(b)=l.
+def diff_length_candidates(k: int, l: int, t: int = 2) -> frozenset[int]:
+    """Possible values of ol(a - b) under x -> t*x for distinct a, b with
+    ol(a)=k, ol(b)=l.
 
-    Difference length 1 would force a = b, hence the m > 1 cut.
+    Length 1 means t(a - b) = a - b, so k = l. At t = 2 it forces a = b,
+    hence the m > 1 cut there; other t fix a nonzero a - b whenever
+    gcd(n, t - 1) > 1.
     """
     if k < 1 or l < 1:
         raise ValueError(f"orbit lengths must be positive, got ({k}, {l})")
@@ -329,7 +333,7 @@ def diff_length_candidates(k: int, l: int) -> frozenset[int]:
     return frozenset(
         m
         for m in divisors(L)
-        if m > 1 and lcm(l, m) % k == 0 and lcm(m, k) % l == 0
+        if (m > 1 or t != 2) and lcm(l, m) % k == 0 and lcm(m, k) % l == 0
     )
 
 
@@ -377,21 +381,21 @@ def _comparison(width: int, fields: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _unit(k: int, l: int, width: int) -> tuple[int, int]:
+def _unit(k: int, l: int, t: int, width: int) -> tuple[int, int]:
     """Packed (min, max) tables of one difference of a (k, l) contribution."""
-    cand = diff_length_candidates(k, l)
+    cand = diff_length_candidates(k, l, t)
     hi = sum(1 << _field(m) * width for m in cand)
     return (hi if len(cand) == 1 else 0), hi
 
 
-def _bounds(contributions, intra_floor: bool, width: int) -> tuple[int, int]:
+def _bounds(contributions, t: int, width: int) -> tuple[int, int]:
     """Packed per-length (min, max) counts by the one-pass rule."""
     lo = hi = 0
     for k, l, size, floor in contributions:
-        u_lo, u_hi = _unit(k, l, width)
+        u_lo, u_hi = _unit(k, l, t, width)
         lo += size * u_lo
         hi += size * u_hi
-        if not u_lo and intra_floor and floor:
+        if not u_lo and t == 2 and floor:
             # +-t^i(t*a - a) = +-t^i*a stays in the orbit (t = 2 only)
             lo += floor << _field(k) * width
     return lo, hi
@@ -405,35 +409,35 @@ def _unpack(lo: int, hi: int, width: int) -> dict[int, tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _side_bounds(olp: Olp, intra_floor: bool, width: int) -> tuple[int, int]:
+def _side_bounds(olp: Olp, t: int, width: int) -> tuple[int, int]:
     """Packed bounds of one describing set's own differences, once per olp."""
-    return _bounds(_side_contributions(olp), intra_floor, width)
+    return _bounds(_side_contributions(olp), t, width)
 
 
 @lru_cache(maxsize=None)
-def _cross_row(olp_n: Olp, k: int, width: int) -> tuple[int, int]:
+def _cross_row(olp_n: Olp, k: int, t: int, width: int) -> tuple[int, int]:
     """Packed bounds of one orbit of length k against olp(N): 2kl per orbit."""
     n_mults = _multiplicities(olp_n).items()
-    return _bounds([(k, l, 2 * k * l * d, 0) for l, d in n_mults], False, width)
+    return _bounds([(k, l, 2 * k * l * d, 0) for l, d in n_mults], t, width)
 
 
-def _cross_bounds(pair: OlpPair, width: int) -> tuple[int, int]:
+def _cross_bounds(pair: OlpPair, t: int, width: int) -> tuple[int, int]:
     """Packed delta_bar bounds: each P part k's row times its multiplicity."""
     b_lo = b_hi = 0
     for k, c in _multiplicities(pair.p).items():
-        lo, hi = _cross_row(pair.n, k, width)
+        lo, hi = _cross_row(pair.n, k, t, width)
         b_lo, b_hi = b_lo + c * lo, b_hi + c * hi
     return b_lo, b_hi
 
 
 def pol_delta(olp: Olp) -> frozenset[int]:
-    """Possible orbit lengths of differences within one describing set."""
+    """Possible orbit lengths of differences within one describing set, at t = 2."""
     # the lengths are those of the max table, so the floor does not matter
     return frozenset(length_count_bounds(OlpPair(olp, Olp(()))).delta)
 
 
 def pol_delta_bar(pair: OlpPair) -> frozenset[int]:
-    """Possible orbit lengths of differences across the two describing sets."""
+    """Possible orbit lengths of differences across the two describing sets, at t = 2."""
     return frozenset(length_count_bounds(pair).delta_bar)
 
 
@@ -464,9 +468,9 @@ def length_count_bounds(pair: OlpPair, t: int = 2) -> LengthCountBounds:
     the t=2 intra-orbit floor). The delta table sums the P and N tables.
     """
     width = _width(pair)
-    p_lo, p_hi = _side_bounds(pair.p, t == 2, width)
-    n_lo, n_hi = _side_bounds(pair.n, t == 2, width)
-    delta_bar = _cross_bounds(pair, width)
+    p_lo, p_hi = _side_bounds(pair.p, t, width)
+    n_lo, n_hi = _side_bounds(pair.n, t, width)
+    delta_bar = _cross_bounds(pair, t, width)
     return LengthCountBounds(_unpack(p_lo + n_lo, p_hi + n_hi, width), _unpack(*delta_bar, width))
 
 
@@ -515,23 +519,24 @@ def _mask(lengths) -> int:
 
 
 @lru_cache(maxsize=None)
-def _existence_profile(olp: Olp) -> tuple[tuple[int, ...], int]:
-    """(sorted distinct parts, pol_delta as a bitmask), built once per olp."""
+def _existence_profile(olp: Olp, t: int) -> tuple[tuple[int, ...], int]:
+    """(sorted distinct parts, the lengths of its own differences as a
+    bitmask), built once per olp; a lone orbit of length 1 has none."""
     parts = tuple(_multiplicities(olp))
-    masks = (_cross_witness(k, l)[0] for i, k in enumerate(parts) for l in parts[i:])
+    masks = (_cross_witness(k, l, t)[0] for k, l, size, _ in _side_contributions(olp) if size)
     return parts, reduce(or_, masks, 0)
 
 
 @lru_cache(maxsize=None)
-def _cross_witness(k: int, l: int) -> tuple[int, ExistenceWitness]:
+def _cross_witness(k: int, l: int, t: int) -> tuple[int, ExistenceWitness]:
     """The candidate lengths of a cross (k, l) as a bitmask over their
     fields, and the witness they give when none is possible within a side."""
-    cand = tuple(sorted(diff_length_candidates(k, l)))
+    cand = tuple(sorted(diff_length_candidates(k, l, t)))
     return _mask(map(_field, cand)), ExistenceWitness(k, l, cand)
 
 
 @lru_cache(maxsize=None)
-def _existence_table(olp_n: Olp) -> dict[int, tuple[tuple[int, ExistenceWitness], ...]]:
+def _existence_table(olp_n: Olp, t: int) -> dict[int, tuple[tuple[int, ExistenceWitness], ...]]:
     """k -> the crosses (k, l) that miss pol_delta(N); prune fills it."""
     return {}
 
@@ -540,10 +545,10 @@ def _counting_witnesses(pair: OlpPair, t: int) -> list[CountingWitness]:
     """The fields where a min exceeds the other side's max, by length."""
     p, n = pair
     width = _width(pair)
-    p_lo, p_hi = _side_bounds(p, t == 2, width)
-    n_lo, n_hi = _side_bounds(n, t == 2, width)
+    p_lo, p_hi = _side_bounds(p, t, width)
+    n_lo, n_hi = _side_bounds(n, t, width)
     d_lo, d_hi = p_lo + n_lo, p_hi + n_hi
-    b_lo, b_hi = _cross_bounds(pair, width)
+    b_lo, b_hi = _cross_bounds(pair, t, width)
     high, bias = _comparison(width, max(d_hi, b_hi).bit_length() // width + 1)
     field = (1 << width) - 1
     out = []
@@ -571,15 +576,15 @@ def prune(pairs, level: str = "counting", t: int = 2) -> list[PruneReport]:
     for pair in pairs:
         p, n = pair
         if n is not olp_n:  # pairs usually come in runs sharing olp(N)
-            olp_n, crosses = n, _existence_table(n)
-            n_parts, n_mask = _existence_profile(n)
-        p_parts, p_mask = _existence_profile(p)
+            olp_n, crosses = n, _existence_table(n, t)
+            n_parts, n_mask = _existence_profile(n, t)
+        p_parts, p_mask = _existence_profile(p, t)
         witnesses: list = []
         for k in p_parts:
             row = crosses.get(k)
             if row is None:
                 row = crosses[k] = tuple(
-                    [c for l in n_parts if not (c := _cross_witness(k, l))[0] & n_mask]
+                    [c for l in n_parts if not (c := _cross_witness(k, l, t))[0] & n_mask]
                 )
             for cand, witness in row:
                 if not cand & p_mask:

@@ -11,13 +11,17 @@ Equivalence is generated by cyclic shifts and the substitutions
 x -> x^t with gcd(t, n) = 1: the witness (s, t) sends the coefficient
 at index i to index t*i + s (mod n). Negation is deliberately NOT part
 of equivalence; normalize_sign picks the sign of a row, and the search
-sign-normalizes its candidate masks by popcount.
+sign-normalizes its candidate masks by popcount. A row of weight k is
+read through its k support indices wherever the work allows: the shifts
+that carry one row onto another are read off the supports, in O(k^2)
+per unit rather than O(n).
 
 Conventions:
   sign strings: '-', '0', '+' read left to right as w_0 .. w_{n-1},
   single spaces between characters allowed.
   witness order: (s, t) compared lexicographically, s first.
-  row order: coefficientwise with -1 < 0 < +1, index 0 first.
+  row order: the only one, coefficientwise with -1 < 0 < +1, index 0
+  first; rows of one order compare so as tuples, and sort as rows.
 """
 from __future__ import annotations
 
@@ -31,9 +35,6 @@ from .orbits import units
 
 _CHAR_TO_COEFF = {"-": -1, "0": 0, "+": 1}
 _COEFF_TO_CHAR = {-1: "-", 0: "0", 1: "+"}
-
-# Internal comparison alphabet: must be ordered like the coefficients.
-_COEFF_TO_KEY = {-1: "a", 0: "b", 1: "c"}
 
 
 class CirculantRow(namedtuple("CirculantRow", "n coeffs")):
@@ -69,10 +70,6 @@ class CirculantRow(namedtuple("CirculantRow", "n coeffs")):
     @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
-
-    @cached_property
-    def _sort_key(self) -> str:
-        return "".join(_COEFF_TO_KEY[c] for c in self.coeffs)
 
     def __neg__(self) -> "CirculantRow":
         return CirculantRow(self.n, tuple(-c for c in self.coeffs))
@@ -218,69 +215,52 @@ def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> Circulant
     return CirculantRow(n, tuple(out))
 
 
-def sort_key(row: CirculantRow) -> str:
-    """String whose lexicographic order matches the row order.
+def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:
+    """All s with x^s * row(x^t) = target, ascending, read off the supports.
 
-    ASCII order of '-', '0', '+' does not match -1 < 0 < +1, so sorting
-    must go through this key, not to_string(). Built once per row.
+    A matching s sends some support index i of row, of the sign target
+    has at its first support index j, onto j: s = j - t*i. Each of these
+    at most k candidates is checked on the k (index, sign) pairs of row,
+    so a unit t costs O(k^2), not O(n). A zero row matches the zero row
+    at every shift.
     """
-    return row._sort_key
-
-
-def _image_key(row: CirculantRow, t: int, support: tuple[int, ...]) -> str:
-    """sort_key(row(x^t)), written from the support: entry i goes to t*i mod n."""
-    n = row.n
-    out = [_COEFF_TO_KEY[0]] * n
-    for i in support:
-        out[t * i % n] = _COEFF_TO_KEY[row.coeffs[i]]
-    return "".join(out)
-
-
-def _shift_matches(base_key: str, target_key: str) -> list[int]:
-    """All s with rotate(base, s) == target, ascending.
-
-    rotate(base, s)[j] = base[(j - s) mod n], i.e. window n-s of the
-    doubled string; found with str.find so the scan stays in C.
-    """
-    n = len(base_key)
-    doubled = base_key + base_key
+    n, c, tc = row.n, row.coeffs, target.coeffs
+    support = row.support
+    if len(support) != len(target.support):
+        return []
+    if not support:
+        return list(range(n))
+    j = target.support[0]
     shifts = []
-    p = doubled.find(target_key)
-    while 0 <= p < n:
-        shifts.append((n - p) % n)
-        p = doubled.find(target_key, p + 1)
+    for i in support:
+        if c[i] == tc[j]:
+            s = (j - t * i) % n
+            if all(tc[(t * m + s) % n] == c[m] for m in support):
+                shifts.append(s)
     shifts.sort()
     return shifts
 
 
 def multiplier_shift(row: CirculantRow, t: int) -> int | None:
-    """Least s with row = x^s * row(x^t), or None. s = 0 means t fixes row."""
+    """Least s with row = x^s * row(x^t), or None. s = 0 means t fixes row.
+    The shifts are read off the support (see _shifts)."""
     n = row.n
     if gcd(t % n, n) != 1:
         raise ValueError(f"t={t} is not a unit mod {n}")
-    matches = _shift_matches(_image_key(row, t, row.support), sort_key(row))
-    return matches[0] if matches else None
+    shifts = _shifts(row, t, row)
+    return shifts[0] if shifts else None
 
 
 def are_equivalent(r1: CirculantRow, r2: CirculantRow) -> EquivalenceWitness | None:
     """Lexicographically least witness (s, t) with r2 = x^s * r1(x^t), or None.
 
-    Brute force over every unit t; for each t all matching shifts are
-    read off by rotation matching, so the search is exhaustive.
+    Every unit t is tried, and for each every matching shift is read off
+    the supports (see _shifts), so the search is exhaustive.
     """
     if r1.n != r2.n:
         raise ValueError(f"order mismatch: {r1.n} vs {r2.n}")
-    n = r1.n
-    target = sort_key(r2)
-    support = r1.support
-    found: list[tuple[int, int]] = []
-    for t in units(n):
-        for s in _shift_matches(_image_key(r1, t, support), target):
-            found.append((s, t))
-    if not found:
-        return None
-    s, t = min(found)
-    return EquivalenceWitness(s, t)
+    found = [(s, t) for t in units(r1.n) for s in _shifts(r1, t, r2)]
+    return EquivalenceWitness(*min(found)) if found else None
 
 
 @lru_cache(maxsize=None)
@@ -305,13 +285,14 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
 
     Two rows are equivalent iff their canonical forms are identical.
 
-    For each unit t the shifts of row(x^t) are the rotations of its key.
-    A least rotation starts with the least letter of the key, and every
-    other start loses at the first letter. row(x^t) has the same letters
-    as row, so the only starts worth trying are the images t*i of the
-    positions i holding the least coefficient of the row: its -1 entries
-    if it has any, else its 0 entries, else every entry. Equal keys are
-    equal rows, so the order in which starts are tried does not matter.
+    For each unit t the shifts of row(x^t) are the windows of its image
+    doubled, one byte c + 1 per entry c, so bytes order like rows. A
+    least window starts with the least entry, and every other start
+    loses at its first byte. row(x^t) has the same entries as row, so
+    the only starts worth trying are the images t*i of the positions i
+    holding the least coefficient of the row: its -1 entries if it has
+    any, else its 0 entries, else every entry. Equal windows are equal
+    rows, so the order in which starts are tried does not matter.
 
     multiplier is a unit m that may fix the row up to a shift. If it
     does, row(x^m) = x^s * row, then row(x^(u*m)) = x^(s*u) * row(x^u):
@@ -320,29 +301,28 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     multiplier_shift check), every unit is scanned. The result is the
     same either way; a multiplier that is not a unit raises ValueError.
     """
-    n = row.n
+    n, coeffs, support = row.n, row.coeffs, row.support
     fixed = multiplier is not None and multiplier_shift(row, multiplier) is not None
     scanned = _coset_leaders(n, multiplier) if fixed else units(n)
-    support = row.support
-    least = min(row.coeffs)
-    starts = [i for i, c in enumerate(row.coeffs) if c == least]
-    best: tuple[str, int, int] | None = None
+    least = min(coeffs)
+    starts = [i for i, c in enumerate(coeffs) if c == least]
+    best: tuple[bytes, int, int] | None = None
     for t in scanned:
-        base = _image_key(row, t, support)
-        doubled = base + base
+        image = bytearray(b"\1") * n
+        for i in support:
+            image[t * i % n] = coeffs[i] + 1
+        doubled = bytes(image) * 2
         for i in starts:
             p = t * i % n
             cand = doubled[p : p + n]
             if best is None or cand < best[0]:
                 best = (cand, p, t)
     assert best is not None
-    # window p of the doubled key is x^(n-p) * row(x^t)
+    # window p of the doubled image is x^(n-p) * row(x^t)
     _, p, t = best
     return apply_transform(row, EquivalenceWitness((n - p) % n, t))
 
 
 def canonical_form_up_to_negation(row: CirculantRow) -> CirculantRow:
     """Least canonical form of row and -row; convenience for sign-blind grouping."""
-    a = canonical_form(row)
-    b = canonical_form(-row)
-    return a if sort_key(a) <= sort_key(b) else b
+    return min(canonical_form(row), canonical_form(-row))

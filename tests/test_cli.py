@@ -184,11 +184,15 @@ def test_prune_wider_weights(capsys):
 # sha256 of the stdout of these commands at commit 4322943, the parent
 # of the bitmask existence test: a regression reference for every pair,
 # verdict and witness text (parent output), not an independent result.
+# The --multiplier 3 entry is the output once difference length 1 became
+# a candidate for equal orbit lengths at t != 2: against the old output,
+# 79 verdicts turn accepted and 2 rejected (two fixed points in N force
+# differences of length 1 that no cross difference can match).
 PARENT_PRUNE_JSON_SHA256 = {
     ("prune", "36", "--format", "json"):
         "aa96f5d27ed4a082643b18cca89fb97672aa3a7ec16710957285b0fa55023c68",
     ("prune", "25", "--multiplier", "3", "--format", "json"):
-        "085bb5a64a0a8f271080ddb5bce5338d5dd019955fe7af3227113afce7f8351e",
+        "7800339889b5425d6077c48cff4bc6d7fae67e855f59bf93a7d0aa505eca70f8",
 }
 
 

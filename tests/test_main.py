@@ -1,6 +1,7 @@
 """`python -m cwmat` runs the CLI in its own process and exits with its code."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -13,16 +14,20 @@ from golden import KNOWN_CW_7_4
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "cwmat", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=300,
     )
 
@@ -39,3 +44,27 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
 def test_module_exit_code(args, code):
     proc = _run_module(*args)
     assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["text", "json"])
+def test_stdout_closed_by_its_reader_is_an_error_without_traceback(tmp_path, fmt):
+    """Like `cwmat prune 36 | head -n 1`: the output (3840 pairs) is far
+    more than a pipe holds, so a write fails once the reader is gone."""
+    out = tmp_path / "prune.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cwmat", "prune", "36", *fmt, "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2, stderr
+    assert first.strip()
+    assert "Traceback" not in stderr
+    assert stderr == "error: cannot write standard output: broken pipe\n"
+    # --out is written before stdout, so it is complete
+    assert len(json.loads(out.read_text())["pairs"]) == 3840

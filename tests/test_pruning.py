@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cwmat import (
+    CirculantRow,
     CountingWitness,
     ExistenceWitness,
     ModulusContext,
@@ -23,6 +24,7 @@ from cwmat import (
     cap_feasible,
     cross_pairs,
     describing_set_sizes,
+    describing_sets,
     diff_length_candidates,
     divisors,
     enumerate_partitions,
@@ -35,6 +37,7 @@ from cwmat import (
     pol_delta_bar,
     prune,
     survivors,
+    verify_cw,
 )
 from cwmat.pruning import (
     MAX_CROSS_PAIRS,
@@ -55,7 +58,7 @@ from golden import (
     KNOWN_REJECTION_WITNESSES,
     PARTITIONS_OF_6,
 )
-from orbit_lister import orbit_lengths
+from orbit_lister import orbit_lengths, t_orbits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,6 +242,11 @@ def test_diff_length_candidates_examples():
         assert diff_length_candidates(1, k) == frozenset({k})
     with pytest.raises(ValueError, match="positive"):
         diff_length_candidates(0, 3)
+    # other t fix a nonzero difference of two points of equal length
+    assert diff_length_candidates(1, 1, 3) == frozenset({1})
+    assert diff_length_candidates(2, 2, 3) == frozenset({1, 2})
+    assert diff_length_candidates(1, 2, 3) == frozenset({2})
+    assert diff_length_candidates(6, 2, 1) == frozenset({3, 6})
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
@@ -249,6 +257,7 @@ def test_diff_length_candidates_symmetric(k, l):
 @given(st.integers(1, 30))
 def test_diff_length_candidates_equal_lengths(k):
     assert diff_length_candidates(k, k) == frozenset(d for d in divisors(k) if d > 1)
+    assert diff_length_candidates(k, k, 3) == frozenset(divisors(k))
 
 
 def test_candidates_sharp_for_coprime_lengths():
@@ -278,34 +287,40 @@ def test_candidates_for_shared_prime_factor():
                     assert cand == frozenset({u * kp * mp})
 
 
-def _brute_candidates(k: int, l: int, max_order: int = 250) -> frozenset[int]:
-    """Orbit-difference lengths actually realized at small odd orders."""
+def _brute_candidates(k: int, l: int, t: int, max_order: int = 250) -> frozenset[int]:
+    """Orbit-difference lengths actually realized at every order up to
+    max_order prime to t (the odd orders, at t = 2)."""
     out = set()
-    for n in range(3, max_order + 1, 2):
-        table = orbit_lengths(n, 2)
-        a_reps = [a for a in range(n) if table[a] == k and a == min(_orb(a, n))]
-        b_reps = [b for b in range(n) if table[b] == l and b == min(_orb(b, n))]
+    for n in range(2, max_order + 1):
+        if math.gcd(n, t) != 1:
+            continue
+        table = orbit_lengths(n, t)
+        reps = [orb[0] for orb in t_orbits(n, t)]
+        a_reps = [a for a in reps if table[a] == k]
+        b_reps = [b for b in reps if table[b] == l]
         for a in a_reps:
             for b in b_reps:
                 for e in range(k):
-                    d = (pow(2, e, n) * a - b) % n
+                    d = (pow(t, e, n) * a - b) % n
                     if d:
                         out.add(table[d])
     return frozenset(out)
 
 
-def _orb(a: int, n: int) -> set[int]:
-    out, x = set(), a
-    while x not in out:
-        out.add(x)
-        x = 2 * x % n
-    return out
-
-
 def test_candidates_sound_for_small_pairs():
     """Every length realized by an actual orbit difference is predicted."""
     for k, l in [(5, 2), (6, 2), (4, 6), (3, 3), (6, 6), (5, 5)]:
-        assert _brute_candidates(k, l) <= diff_length_candidates(k, l)
+        assert _brute_candidates(k, l, 2) <= diff_length_candidates(k, l)
+
+
+def test_candidates_sound_for_small_pairs_at_t_3():
+    """As above, at every order up to 250 prime to 3, even ones included.
+    Length 1 occurs: two fixed points of x -> 3x (Z_4: 0 and 2), or two
+    2-orbits (Z_8: {1, 3} and {5, 7}), differ by a nonzero fixed point."""
+    for k, l in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4), (3, 3), (5, 5), (1, 4), (6, 2)]:
+        realized = _brute_candidates(k, l, 3)
+        assert realized <= diff_length_candidates(k, l, 3), (k, l)
+        assert (1 in realized) == (k == l), (k, l)
 
 
 def test_pol_delta_examples():
@@ -371,10 +386,10 @@ def _reference_tables(pair: OlpPair, t: int):
     across = [(k, l, 2 * k * l, False) for k in pair.p.parts for l in pair.n.parts]
     lengths = set()
     for k, l, _, _ in within + across:
-        lengths |= diff_length_candidates(k, l)
+        lengths |= diff_length_candidates(k, l, t)
 
     def table(contributions, floor):
-        cands = [diff_length_candidates(k, l) for k, l, _, _ in contributions]
+        cands = [diff_length_candidates(k, l, t) for k, l, _, _ in contributions]
         out = {}
         for ell in sorted(lengths):
             lo = hi = 0
@@ -399,6 +414,7 @@ def _assert_bounds_match_the_reference(pairs):
             for ell in b.lengths:
                 assert b.delta_bounds(ell) == delta.get(ell, (0, 0)), (str(pair), t, ell)
                 assert b.delta_bar_bounds(ell) == delta_bar.get(ell, (0, 0)), (str(pair), t, ell)
+        delta, delta_bar = _reference_tables(pair, 2)
         assert pol_delta(pair.p) | pol_delta(pair.n) == frozenset(delta), str(pair)
         assert pol_delta_bar(pair) == frozenset(delta_bar), str(pair)
         for olp in (pair.p, pair.n):
@@ -444,9 +460,10 @@ def test_existence_masks_and_cross_rows_match_the_tables():
         for t in (2, 3):
             for size in describing_set_sizes(weight):
                 for olp in feasible_partitions(size, t):
-                    parts, mask = _existence_profile(olp)
+                    parts, mask = _existence_profile(olp, t)
                     assert parts == tuple(sorted(set(olp.parts))), str(olp)
-                    assert mask == _mask(map(_field, pol_delta(olp))), (weight, t, str(olp))
+                    own, _ = _reference_tables(OlpPair(olp, Olp(())), t)
+                    assert mask == _mask(map(_field, own)), (weight, t, str(olp))
     for weight in (25, 36):
         for t in (2, 3):
             existence = survivors(prune(feasible_pairs(weight, t), level="existence", t=t))
@@ -456,14 +473,14 @@ def test_existence_masks_and_cross_rows_match_the_tables():
                 lo = hi = 0
                 p_mults, n_mults = pair.p.multiplicities, pair.n.multiplicities
                 for k, c in p_mults.items():
-                    row_lo, row_hi = _cross_row(pair.n, k, width)
+                    row_lo, row_hi = _cross_row(pair.n, k, t, width)
                     lo, hi = lo + c * row_lo, hi + c * row_hi
                 crosses = [
                     (k, l, 2 * k * l * c * d, 0)
                     for k, c in p_mults.items()
                     for l, d in n_mults.items()
                 ]
-                assert (lo, hi) == _bounds(crosses, False, width), str(pair)
+                assert (lo, hi) == _bounds(crosses, t, width), str(pair)
                 expected = length_count_bounds(pair, t).delta_bar
                 assert _packed_fields(hi, width) == {m: b[1] for m, b in expected.items()}
                 assert _packed_fields(lo, width) == {m: b[0] for m, b in expected.items() if b[0]}
@@ -521,14 +538,23 @@ def test_prune_counting_witnesses():
         assert (length, lo, hi) in found
 
 
-def _reference_existence_witnesses(pair: OlpPair) -> list[ExistenceWitness]:
+def _reference_existence_witnesses(pair: OlpPair, t: int) -> list[ExistenceWitness]:
     """The set formulation the bitmask test must equal: a cross (k, l),
     over the sorted distinct (k, l), fires when its candidate lengths
-    are disjoint from the pol_delta of both sides."""
-    possible = pol_delta(pair.p) | pol_delta(pair.n)
+    are disjoint from the candidates of every within-side difference:
+    within one orbit of length k >= 2, or between two orbits of a side."""
+    possible = frozenset().union(
+        *(
+            diff_length_candidates(parts[i], parts[j], t)
+            for parts in (pair.p.parts, pair.n.parts)
+            for i in range(len(parts))
+            for j in range(i, len(parts))
+            if i < j or parts[i] >= 2
+        )
+    )
     out = []
     for k, l in sorted({(k, l) for k in pair.p.parts for l in pair.n.parts}):
-        cand = diff_length_candidates(k, l)
+        cand = diff_length_candidates(k, l, t)
         if not cand & possible:
             out.append(ExistenceWitness(k, l, tuple(sorted(cand))))
     return out
@@ -550,7 +576,7 @@ def _reference_counting_witnesses(pair: OlpPair, t: int) -> list[CountingWitness
 
 
 def _reference_report(pair: OlpPair, level: str, t: int) -> PruneReport:
-    witnesses = _reference_existence_witnesses(pair)
+    witnesses = _reference_existence_witnesses(pair, t)
     if not witnesses and level == "counting":
         witnesses = _reference_counting_witnesses(pair, t)
     return PruneReport(pair, "rejected" if witnesses else "accepted", tuple(witnesses))
@@ -669,6 +695,21 @@ def test_prune_weight_4_pair_survives():
     reports = prune(feasible_pairs(4))
     assert [str(r.pair) for r in reports] == ["(3^1, 1^1)"]
     assert reports[0].verdict == "accepted"
+
+
+def test_cw_4_4_pair_survives_at_t_3():
+    """++-+ is a CW(4, 4) whose P = {0, 1, 3} and N = {2} are unions of
+    3-orbits of Z_4 ({0}, {1, 3}, {2}), so its pair must survive: the
+    cross (1, 1) of 0 in P and 2 in N forces length 1, and the fixed
+    points 0 and 2 differ by the fixed point 2."""
+    row = CirculantRow.from_string("++-+")
+    assert verify_cw(row) == 4
+    sets, ctx = describing_sets(row), ModulusContext(4, 3)
+    pair = OlpPair(olp_of_set(sets.P, ctx), olp_of_set(sets.N, ctx))
+    assert pair == _pair("1^1 2^1", "1^1")
+    assert pair in feasible_pairs(4, 3)
+    for level in ("existence", "counting"):
+        assert prune([pair], level=level, t=3)[0].verdict == "accepted"
 
 
 def test_prune_rejects_unknown_level():

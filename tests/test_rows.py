@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwmat import (
@@ -17,10 +17,10 @@ from cwmat import (
     canonical_form_up_to_negation,
     describing_sets,
     from_sets,
+    lift,
     multiplier_shift,
     normalize_sign,
     periodic_autocorrelation,
-    sort_key,
     verify_cw,
     verify_sets,
 )
@@ -33,8 +33,12 @@ from golden import (
     KNOWN_CW_31_16,
     KNOWN_CW_31_16_N,
     KNOWN_CW_31_16_P,
+    W0_21_N,
+    W0_21_P,
     W1_31_N,
     W1_31_P,
+    W1_63_N,
+    W1_63_P,
     W2_31_N,
     W2_31_P,
 )
@@ -264,6 +268,8 @@ def test_are_equivalent_examples():
     assert apply_transform(W1, w) == moved
     with pytest.raises(ValueError, match="order mismatch"):
         are_equivalent(W1, CirculantRow.from_string("+00"))
+    # every entry of +00 lands on a + of ++0, which still has one more
+    assert are_equivalent(CirculantRow.from_string("+00"), CirculantRow.from_string("++0")) is None
 
 
 def test_are_equivalent_prefers_smallest_shift():
@@ -295,7 +301,7 @@ def test_canonical_form_is_an_orbit_invariant(pair):
 def test_canonical_form_is_least_in_its_orbit(r):
     c = canonical_form(r)
     assert are_equivalent(r, c) is not None
-    assert sort_key(c) <= sort_key(r)
+    assert c <= r
 
 
 def _units(n: int) -> list[int]:
@@ -306,7 +312,7 @@ def _brute_force_canonical(r: CirculantRow) -> CirculantRow:
     images = (
         apply_transform(r, EquivalenceWitness(s, t)) for s in range(r.n) for t in _units(r.n)
     )
-    return min(images, key=sort_key)
+    return min(images)
 
 
 @given(rows(max_n=12))
@@ -408,14 +414,53 @@ def test_are_equivalent_and_multiplier_shift_match_brute_force(pair):
         assert multiplier_shift(r, t) == (fixing[0] if fixing else None)
 
 
+def _brute_force_witnesses(r: CirculantRow, target: CirculantRow) -> list[tuple[int, int]]:
+    """Every (s, t) with x^s * r(x^t) = target, ascending, by trying every
+    unit t and every rotation s of r(x^t)."""
+    n = r.n
+    found = []
+    for t in _units(n):
+        image = apply_transform(r, EquivalenceWitness(0, t)).coeffs
+        for s in range(n):
+            if image[n - s :] + image[: n - s] == target.coeffs:
+                found.append((s, t))
+    return sorted(found)
+
+
+def _assert_shifts_match_brute_force(r: CirculantRow, moved: CirculantRow) -> None:
+    assert are_equivalent(r, moved) == EquivalenceWitness(*_brute_force_witnesses(r, moved)[0])
+    least_fixing = {}
+    for s, t in _brute_force_witnesses(r, r):
+        least_fixing.setdefault(t, s)
+    for t in _units(r.n):
+        assert multiplier_shift(r, t) == least_fixing.get(t), (r.to_string(), t)
+
+
+# Sparse rows: unions of t-orbits, rotated, and moved by a random witness.
+@given(orbit_unions().flatmap(lambda case: st.tuples(st.just(case[0]), witnesses_for(case[0].n))))
+def test_shifts_of_orbit_unions_match_brute_force(pair):
+    r, w = pair
+    _assert_shifts_match_brute_force(r, apply_transform(r, w))
+
+
+# The weight-16 class representatives at n = 31, 63 and 93.
+WEIGHT_16_CLASSES = {
+    31: (W1, W2),
+    63: (from_sets(63, W1_63_P, W1_63_N), lift(from_sets(21, W0_21_P, W0_21_N), 3)),
+    93: (lift(W1, 3), lift(W2, 3)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(WEIGHT_16_CLASSES))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_shifts_of_weight_16_classes_match_brute_force(n, data):
+    for r in WEIGHT_16_CLASSES[n]:
+        assert verify_cw(r) == 16
+        _assert_shifts_match_brute_force(r, apply_transform(r, data.draw(witnesses_for(n))))
+
+
 @given(rows())
 def test_canonical_form_up_to_negation_merges_signs(r):
     assert canonical_form_up_to_negation(r) == canonical_form_up_to_negation(-r)
     assert canonical_form_up_to_negation(r) in (canonical_form(r), canonical_form(-r))
-
-
-@given(rows(), rows())
-def test_sort_key_orders_like_coefficients(r1, r2):
-    if r1.n != r2.n:
-        return
-    assert (sort_key(r1) < sort_key(r2)) == (r1.coeffs < r2.coeffs)

@@ -33,7 +33,6 @@ from cwmat import (
     olp_of_set,
     periodic_autocorrelation,
     prune,
-    sort_key,
     verify_cw,
 )
 from cwmat.rows import _weighing
@@ -245,13 +244,13 @@ def test_search_solutions_sorted_by_canonical_form(n, p, np_):
         if verify_cw(row) == 16:
             row = normalize_sign(row)
             distinct.setdefault(row.coeffs, row)
-    expected = sorted(distinct.values(), key=lambda r: sort_key(canonical_form(r)))
+    expected = sorted(distinct.values(), key=canonical_form)
     assert exhaustive_search(spec).solutions == tuple(expected)
 
 
 def _per_row_report(spec: SearchSpec) -> SearchReport:
     """The search with every distinct hit canonicalized, classes keyed
-    and members sorted by sort_key: the path before per-class reuse."""
+    and members sorted as rows: the path before per-class reuse."""
     tested, distinct = 0, {}
     for _, _, P, N in _assignments(spec):
         tested += 1
@@ -262,9 +261,9 @@ def _per_row_report(spec: SearchSpec) -> SearchReport:
     groups = {}
     for row in distinct.values():
         rep = canonical_form(row, multiplier=spec.t)
-        groups.setdefault(sort_key(rep), (rep, []))[1].append(row)
+        groups.setdefault(rep, (rep, []))[1].append(row)
     classes = tuple(
-        EquivalenceClass(rep, tuple(sorted(rows, key=sort_key)))
+        EquivalenceClass(rep, tuple(sorted(rows)))
         for _, (rep, rows) in sorted(groups.items())
     )
     class_of = {m.coeffs: k for k, c in enumerate(classes) for m in c.members}
@@ -406,10 +405,10 @@ def test_merged_pair_classes_equal_classify_of_all_solutions(n):
     assert merged == classify(solutions)
     # no class spans two pairs, which the derived rule relies on
     assert sum(len(report.classes) for report in reports) == len(merged)
-    keys = [sort_key(c.representative) for c in merged]
+    keys = [c.representative for c in merged]
     assert keys == sorted(set(keys))
     for c in merged:
-        assert list(c.members) == sorted(c.members, key=sort_key)
+        assert list(c.members) == sorted(c.members)
         assert all(canonical_form(m) == c.representative for m in c.members)
     assert sorted(m.coeffs for c in merged for m in c.members) == sorted(r.coeffs for r in solutions)
 
@@ -479,8 +478,27 @@ def test_derived_rule_matches_the_search_beyond_weight_16(weight, t, base):
         classes = _search_all_pairs(n, weight, t)
         assert len(reps) == len(classes), f"n={n}"
         assert (len(reps) > 0) == (n % base == 0), f"n={n}"
-        assert sorted(sort_key(canonical_form(r, multiplier=t)) for r in reps) == [
-            sort_key(c.representative) for c in classes
+        assert sorted(canonical_form(r, multiplier=t) for r in reps) == [
+            c.representative for c in classes
+        ], f"n={n}"
+
+
+@pytest.mark.parametrize(
+    "weight,t,orders,base", [(4, 3, range(1, 61), 4), (9, 3, (13, 26, 52, 65, 91, 104), 13)]
+)
+def test_derived_rule_matches_the_search_at_t_3_at_every_order(weight, t, orders, base):
+    """At t = 3 two points of equal orbit length can differ by a nonzero
+    fixed point, at even orders too: W = 4 has a class exactly when 4 | n
+    (n < 60 prime to 3), which pruning once lost."""
+    m = _host_modulus(weight, t)
+    for n in orders:
+        if gcd(n, t) != 1:
+            continue
+        reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, gcd(n, m))]
+        classes = _search_all_pairs(n, weight, t)
+        assert (len(classes) > 0) == (n % base == 0), f"n={n}"
+        assert sorted(canonical_form(r, multiplier=t) for r in reps) == [
+            c.representative for c in classes
         ], f"n={n}"
 
 
