@@ -36,7 +36,6 @@ from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
 from .search import (
     SearchSpec,
     check_classified_weight,
-    classify,
     exhaustive_search,
     full_classification,
 )
@@ -127,6 +126,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     t = args.multiplier
+    if t < 2:  # as prune and search refuse it
+        return _usage_error(f"multiplier base must be at least 2, got {t}")
     payload = _row_payload(row, t)
     mults = []
     # units(1) is [0]; the identity substitution is t=1 at every order
@@ -217,11 +218,6 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     report = exhaustive_search(spec)
-    classes = (
-        classify(report.solutions, up_to_negation=True)
-        if args.with_negation
-        else report.classes
-    )
 
     payload = {
         "n": spec.n,
@@ -237,7 +233,7 @@ def cmd_search(args) -> int:
                 "size": c.size,
                 "members": [m.to_string() for m in c.members],
             }
-            for c in classes
+            for c in report.classes
         ],
     }
 
@@ -248,8 +244,8 @@ def cmd_search(args) -> int:
         f"solutions: {len(report.solutions)}",
     ]
     lines.extend(f"  {row.to_string()}" for row in report.solutions)
-    lines.append(f"classes: {len(classes)}")
-    for i, c in enumerate(classes, 1):
+    lines.append(f"classes: {len(report.classes)}")
+    for i, c in enumerate(report.classes, 1):
         lines.append(f"  {i}. size {c.size}  representative {c.representative.to_string()}")
     return _emit(args, payload, lines)
 
@@ -323,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("olpP", help="olp of P, e.g. '5^2'")
     p.add_argument("olpN", help="olp of N, e.g. '1^1 5^1'")
     p.add_argument("--multiplier", type=int, default=2)
-    p.add_argument("--with-negation", action="store_true",
-                   help="classify up to sign as well as shift/substitution")
     _output_flags(p)
     p.set_defaults(func=cmd_search)
 

@@ -169,16 +169,3 @@ def hosting_divisors(ell: int, t: int, need: int) -> list[int]:
     """The divisors d of t^ell - 1 (the only part of n the count can see),
     ascending, where Z_d has at least need orbits of length ell."""
     return [d for d in divisors(t**ell - 1) if orbit_count(d, ell, t) >= need]
-
-
-def required_divisors(i: int, t: int, orbits_needed: int = 1) -> list[int]:
-    """Minimal d such that d | n guarantees >= orbits_needed orbits of
-    length i: the divisibility-minimal hosting_divisors."""
-    cap = orbit_count_cap(i, t)
-    if not 1 <= orbits_needed <= cap:
-        raise ValueError(
-            f"cannot require {orbits_needed} orbits of length {i}: "
-            f"at most {cap} exist for t={t}"
-        )
-    hits = hosting_divisors(i, t, orbits_needed)
-    return [d for d in hits if all(d % e for e in hits if e < d)]

@@ -42,21 +42,20 @@ come from one recursion that drops a subtree once a run of equal parts
 m exceeds caps[m]. feasible_pairs checks the combined caps only at the
 tight lengths ell, floor(|P|/ell) + floor(|N|/ell) > caps[ell], by one
 AND per tight length and N olp over bitmasks of the P olps. Existence
-reads each olp's distinct parts and pol_delta as a bitmask over the
-table fields, the OR of the candidate bitmasks of its own (k, l), and,
-once per run of pairs sharing olp(N), a table k -> the crosses (k, l)
-whose candidates miss pol_delta(N), with the ExistenceWitness each
-fires, built once per (k, l) and shared. A pair costs one lookup per
-distinct P part and one AND per listed cross; only the pairs that pass
-reach the tables, where a field of 2^(width-1) - 1 + min - max keeps
-its top bit exactly where min > max. Pair grids with more than
-MAX_CROSS_PAIRS pairs, counted by a generating function, are refused
-before any partition is listed.
+reads each olp's distinct parts and the lengths of its own differences
+as a bitmask over the table fields, the OR of the candidate bitmasks of
+its own (k, l), and, once per run of pairs sharing olp(N), a table
+k -> the crosses (k, l) whose candidates miss the lengths of N, with
+the ExistenceWitness each fires, built once per (k, l) and shared. A
+pair costs one lookup per distinct P part and one AND per listed cross;
+only the pairs that pass reach the tables, where a field of
+2^(width-1) - 1 + min - max keeps its top bit exactly where min > max.
+Pair grids with more than MAX_CROSS_PAIRS pairs, counted by a
+generating function, are refused before any partition is listed.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Mapping
 from functools import lru_cache, reduce
 from itertools import count
 from math import isqrt, lcm, prod
@@ -149,22 +148,10 @@ def olp_of_set(X, ctx: ModulusContext) -> Olp:
     return Olp(tuple(parts))
 
 
-def enumerate_partitions(total: int, max_part: int | None = None) -> list[Olp]:
-    """All partitions of total with parts <= max_part.
-
-    Deterministic order: ascending largest part, then recursively the
-    same order on the remainder. total = 0 gives the empty partition.
-    """
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
-    if max_part is None:
-        max_part = total
-    return _capped_partitions(total, max_part, [total] * (total + 1))
-
-
-def _capped_partitions(total: int, max_part: int, caps) -> list[Olp]:
-    """Partitions of total with parts <= max_part and at most caps[m]
-    parts equal to m, in the order of enumerate_partitions.
+def _capped_partitions(total: int, caps) -> list[Olp]:
+    """Partitions of total with at most caps[m] parts equal to m, in
+    ascending order of the largest part, then recursively the same order
+    on the remainder; total = 0 gives the empty partition.
 
     Parts are placed from the largest down; a run of equal parts that
     exceeds its cap ends its subtree at once, and only the partitions
@@ -182,7 +169,7 @@ def _capped_partitions(total: int, max_part: int, caps) -> list[Olp]:
             if used <= caps[m]:
                 rec(remaining - m, m, used, (m,) + parts)
 
-    rec(total, max_part, 0, ())
+    rec(total, total, 0, ())
     return [Olp(parts) for parts in kept]
 
 
@@ -190,16 +177,6 @@ def _capped_partitions(total: int, max_part: int, caps) -> list[Olp]:
 def _multiplicities(olp: Olp) -> dict[int, int]:
     """Olp.multiplicities, built once per olp; callers must not mutate it."""
     return olp.multiplicities
-
-
-def cap_feasible(pair: OlpPair, t: int = 2) -> bool:
-    """Whether the combined partition respects every orbit-count cap;
-    parts of both sides take distinct orbits."""
-    p_mults, n_mults = _multiplicities(pair.p), _multiplicities(pair.n)
-    return all(
-        p_mults.get(ell, 0) + n_mults.get(ell, 0) <= orbit_count_cap(ell, t)
-        for ell in p_mults.keys() | n_mults.keys()
-    )
 
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:
@@ -226,7 +203,7 @@ def feasible_partitions(size: int, t: int = 2) -> list[Olp]:
     """Partitions of size whose own multiplicities fit the orbit caps."""
     if size < 0:
         raise ValueError(f"total must be nonnegative, got {size}")
-    return _capped_partitions(size, size, _caps(size, t))
+    return _capped_partitions(size, _caps(size, t))
 
 
 # The most (olp(P), olp(N)) combinations cross_pairs and feasible_pairs
@@ -272,7 +249,7 @@ def _olp_grid(weight: int, t: int) -> tuple[list[Olp], list[Olp], list[int]]:
             f"weight {weight}: {count} olp pairs exceed the "
             f"pair-grid bound of {MAX_CROSS_PAIRS}"
         )
-    p_olps, n_olps = (_capped_partitions(s, s, caps) for s in sizes)
+    p_olps, n_olps = (_capped_partitions(s, caps) for s in sizes)
     return p_olps, n_olps, caps
 
 
@@ -401,13 +378,6 @@ def _bounds(contributions, t: int, width: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _unpack(lo: int, hi: int, width: int) -> dict[int, tuple[int, int]]:
-    """Packed tables as length -> (min, max), for the lengths with max > 0."""
-    field = (1 << width) - 1
-    at = (i for i in range(0, hi.bit_length(), width) if hi >> i & field)
-    return dict(sorted((_length_at[i // width], (lo >> i & field, hi >> i & field)) for i in at))
-
-
 @lru_cache(maxsize=None)
 def _side_bounds(olp: Olp, t: int, width: int) -> tuple[int, int]:
     """Packed bounds of one describing set's own differences, once per olp."""
@@ -428,50 +398,6 @@ def _cross_bounds(pair: OlpPair, t: int, width: int) -> tuple[int, int]:
         lo, hi = _cross_row(pair.n, k, t, width)
         b_lo, b_hi = b_lo + c * lo, b_hi + c * hi
     return b_lo, b_hi
-
-
-def pol_delta(olp: Olp) -> frozenset[int]:
-    """Possible orbit lengths of differences within one describing set, at t = 2."""
-    # the lengths are those of the max table, so the floor does not matter
-    return frozenset(length_count_bounds(OlpPair(olp, Olp(()))).delta)
-
-
-def pol_delta_bar(pair: OlpPair) -> frozenset[int]:
-    """Possible orbit lengths of differences across the two describing sets, at t = 2."""
-    return frozenset(length_count_bounds(pair).delta_bar)
-
-
-class LengthCountBounds(NamedTuple):
-    """Per-length (min, max) difference counts for both sides of the
-    multiset equation: delta = within-side differences, delta_bar =
-    cross differences. Lengths absent from a table have (0, 0)."""
-
-    delta: Mapping[int, tuple[int, int]]
-    delta_bar: Mapping[int, tuple[int, int]]
-
-    def delta_bounds(self, length: int) -> tuple[int, int]:
-        return self.delta.get(length, (0, 0))
-
-    def delta_bar_bounds(self, length: int) -> tuple[int, int]:
-        return self.delta_bar.get(length, (0, 0))
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(self.delta.keys() | self.delta_bar.keys()))
-
-
-def length_count_bounds(pair: OlpPair, t: int = 2) -> LengthCountBounds:
-    """Min/max number of differences of each orbit length on both sides.
-
-    max counts a contribution wherever its candidate set allows it; min
-    counts it only where it is forced (singleton candidate set, or else
-    the t=2 intra-orbit floor). The delta table sums the P and N tables.
-    """
-    width = _width(pair)
-    p_lo, p_hi = _side_bounds(pair.p, t, width)
-    n_lo, n_hi = _side_bounds(pair.n, t, width)
-    delta_bar = _cross_bounds(pair, t, width)
-    return LengthCountBounds(_unpack(p_lo + n_lo, p_hi + n_hi, width), _unpack(*delta_bar, width))
 
 
 class ExistenceWitness(NamedTuple):
@@ -537,7 +463,8 @@ def _cross_witness(k: int, l: int, t: int) -> tuple[int, ExistenceWitness]:
 
 @lru_cache(maxsize=None)
 def _existence_table(olp_n: Olp, t: int) -> dict[int, tuple[tuple[int, ExistenceWitness], ...]]:
-    """k -> the crosses (k, l) that miss pol_delta(N); prune fills it."""
+    """k -> the crosses (k, l) that miss the lengths of olp_n's own
+    differences; prune fills it."""
     return {}
 
 

@@ -10,11 +10,11 @@ images.
 Equivalence is generated by cyclic shifts and the substitutions
 x -> x^t with gcd(t, n) = 1: the witness (s, t) sends the coefficient
 at index i to index t*i + s (mod n). Negation is deliberately NOT part
-of equivalence; normalize_sign picks the sign of a row, and the search
-sign-normalizes its candidate masks by popcount. A row of weight k is
-read through its k support indices wherever the work allows: the shifts
-that carry one row onto another are read off the supports, in O(k^2)
-per unit rather than O(n).
+of equivalence; the search sign-normalizes its hits by popcount, keeping
+the sign with more +1 entries. A row of weight k is read through its k
+support indices wherever the work allows: the shifts that carry one row
+onto another are read off the supports, in O(k^2) per unit rather than
+O(n).
 
 Conventions:
   sign strings: '-', '0', '+' read left to right as w_0 .. w_{n-1},
@@ -121,14 +121,6 @@ def _checked_sets(n: int, P, N) -> tuple[frozenset[int], frozenset[int]]:
     return P, N
 
 
-def periodic_autocorrelation(row: CirculantRow, lag: int) -> int:
-    """sum_i w_i * w_{i+lag mod n}. Only support indices contribute."""
-    if not 0 <= lag < row.n:
-        raise ValueError(f"lag {lag} out of range for order {row.n}")
-    c, n = row.coeffs, row.n
-    return sum(c[i] * c[(i + lag) % n] for i in row.support)
-
-
 def _weighing(n: int, support, pm: int, nm: int, t: int) -> bool:
     """Whether +1 on the bits of pm and -1 on those of nm (bit i is index
     i of Z_n) have periodic autocorrelation 0 at every nonzero lag.
@@ -186,21 +178,6 @@ def verify_cw(row: CirculantRow) -> int | None:
     """Weight k if the row is a circulant weighing row, else None."""
     sets = describing_sets(row)
     return verify_sets(row.n, sets.P, sets.N)
-
-
-def normalize_sign(row: CirculantRow) -> CirculantRow:
-    """The one of row, -row with more +1 entries.
-
-    Callers are expected to pass weighing rows; a square weight forces
-    |P| != |N|, so a tie is an input error, as is an all-zero row.
-    """
-    pos = sum(1 for c in row.coeffs if c == 1)
-    neg = sum(1 for c in row.coeffs if c == -1)
-    if pos + neg == 0:
-        raise ValueError("cannot sign-normalize an all-zero row")
-    if pos == neg:
-        raise ValueError("row has |P| = |N|; not a square-weight weighing row")
-    return row if pos > neg else -row
 
 
 def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> CirculantRow:
@@ -321,8 +298,3 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     # window p of the doubled image is x^(n-p) * row(x^t)
     _, p, t = best
     return apply_transform(row, EquivalenceWitness((n - p) % n, t))
-
-
-def canonical_form_up_to_negation(row: CirculantRow) -> CirculantRow:
-    """Least canonical form of row and -row; convenience for sign-blind grouping."""
-    return min(canonical_form(row), canonical_form(-row))

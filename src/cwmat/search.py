@@ -71,7 +71,6 @@ from .rows import (
     apply_transform,
     are_equivalent,
     canonical_form,
-    canonical_form_up_to_negation,
     from_sets,
     verify_cw,
 )
@@ -218,7 +217,7 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     return SearchReport(spec, tested, solutions, classes)
 
 
-def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]:
+def classify(rows) -> tuple[EquivalenceClass, ...]:
     """Partition rows into equivalence classes, deterministically ordered.
 
     Grouping is by canonical form, so cost is linear in the number of
@@ -227,8 +226,7 @@ def classify(rows, up_to_negation: bool = False) -> tuple[EquivalenceClass, ...]
     orders = {row.n for row in rows}
     if len(orders) > 1:
         raise ValueError(f"rows have mixed orders {sorted(orders)}")
-    canon = canonical_form_up_to_negation if up_to_negation else canonical_form
-    return _group((canon(row), row) for row in rows)
+    return _group((canonical_form(row), row) for row in rows)
 
 
 def _group(pairs: Iterable[tuple[CirculantRow, CirculantRow]]) -> tuple[EquivalenceClass, ...]:
@@ -272,20 +270,6 @@ def lift(row: CirculantRow, m: int) -> CirculantRow:
     for i, c in enumerate(row.coeffs):
         coeffs[i * m] = c
     return CirculantRow(row.n * m, tuple(coeffs))
-
-
-def contract(row: CirculantRow) -> tuple[CirculantRow, int]:
-    """Maximal inverse of lift: (base, m) with lift(base, m) == row.
-
-    m is the gcd of the order and all support indices; m == 1 means the
-    row is incompressible.
-    """
-    support = row.support
-    if not support:
-        raise ValueError("cannot contract the zero row")
-    m = gcd(row.n, *support)
-    base = CirculantRow(row.n // m, tuple(row.coeffs[i * m] for i in range(row.n // m)))
-    return base, m
 
 
 def class_contractible(row: CirculantRow, d: int) -> bool:

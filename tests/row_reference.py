@@ -1,0 +1,23 @@
+"""Test-only row references: the autocorrelation by its definition and
+the sign choice of a square-weight row.
+
+They use no library code beyond the row record, so tests can check the
+library's weighing kernel and the search's sign normalization against
+them.
+"""
+from __future__ import annotations
+
+
+def periodic_autocorrelation(row, lag: int) -> int:
+    """sum_i w_i * w_{i+lag mod n}, over every index."""
+    c, n = row.coeffs, row.n
+    return sum(c[i] * c[(i + lag) % n] for i in range(n))
+
+
+def normalize_sign(row):
+    """The one of row, -row with more +1 than -1 entries; a square
+    weight forces |P| != |N|, so a tie is an input error."""
+    pos, neg = row.coeffs.count(1), row.coeffs.count(-1)
+    if pos == neg:
+        raise ValueError(f"row has |P| = |N| = {pos}")
+    return row if pos > neg else -row

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from math import gcd
 
 from cwmat import (
     CirculantRow,
@@ -20,7 +21,6 @@ from cwmat import (
     class_contractible,
     classify,
     conjugate_to_circulant,
-    contract,
     cross_pairs,
     cw_equation_holds,
     describing_sets,
@@ -31,7 +31,6 @@ from cwmat import (
     full_classification,
     lift,
     multiplier_shift,
-    normalize_sign,
     prune,
     survivors,
     units,
@@ -54,6 +53,7 @@ from golden import (
     W2_31_P,
 )
 from orbit_lister import orbit_lengths, t_orbits
+from row_reference import normalize_sign
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
@@ -165,9 +165,11 @@ def test_criterion_06_search_at_63():
         aligned = [
             m for m in contractible[0].members if all(s % 3 == 0 for s in m.support)
         ]
-        base, m = contract(aligned[0])
-        assert m == 3
-        assert base.n == 21
+        # the support spans 3Z_63 exactly, and the row is the lift of its
+        # every third entry
+        assert gcd(63, *aligned[0].support) == 3
+        base = CirculantRow(21, aligned[0].coeffs[::3])
+        assert lift(base, 3) == aligned[0]
         assert verify_cw(base) == 16
         assert are_equivalent(base, W0_21) is not None
         other = next(

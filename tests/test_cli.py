@@ -211,8 +211,6 @@ PARENT_SEARCH_JSON_SHA256 = {
         "163df212ce8c11702eca81af3e1d29e2f200e4b186584cb2ab14550264e8300f",
     ("search", "315", "16", "1^1 3^1 6^1", "6^1", "--format", "json"):
         "650ade14e22943a775ec0122efcc2716d463403656eb48ce405c903f79c2f1c0",
-    ("search", "63", "16", "1^1 3^1 6^1", "6^1", "--with-negation", "--format", "json"):
-        "bdc78085ce329a1e38826e91345aa7f721a1116c3f7271fa4b0b5f38fa55ae2e",
     ("classify", "16", "--max-n", "341", "--format", "json"):
         "d2555851ead59514190eb0420a4615824a56c80cd64965d14756e8e6b4572bdd",
 }
@@ -323,13 +321,13 @@ def test_search_text_lists_solutions(capsys):
     assert "classes: 1" in out
 
 
-def test_search_with_negation(capsys):
-    code, out, _ = run(
-        capsys, "search", "31", "16", "5^2", "1^1 5^1", "--with-negation", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["classes"]) == 2
+def test_search_with_negation_is_not_an_option(capsys):
+    # Negation never merges two classes, so the flag that grouped up to sign
+    # is gone: argparse refuses it, it is not silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "31", "16", "5^2", "1^1 5^1", "--with-negation"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --with-negation" in capsys.readouterr().err
 
 
 def test_search_rejects_wrong_olp_sums(capsys):
@@ -376,12 +374,15 @@ def test_classify_rejects_max_n_below_one(capsys, max_n):
     assert out == ""
 
 
-@pytest.mark.parametrize("t", ["1", "0", "-2"])
+@pytest.mark.parametrize("t", ["1", "0", "-2", "-3"])
 def test_search_rejects_multiplier_below_two(capsys, t):
-    code, out, err = run(capsys, "search", "63", "16", "1^10", "1^6", "--multiplier", t)
-    assert code == 2
-    assert "multiplier base must be at least 2" in err
-    assert out == ""
+    # verify refuses such t as search and prune do, rather than reading
+    # orbits of a non-multiplier
+    for argv in (("search", "63", "16", "1^10", "1^6"), ("verify", "-++0+00")):
+        code, out, err = run(capsys, *argv, "--multiplier", t)
+        assert code == 2, argv
+        assert f"multiplier base must be at least 2, got {t}" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize(

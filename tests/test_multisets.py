@@ -11,7 +11,6 @@ from cwmat import (
     cw_equation_holds,
     describing_sets,
     from_sets,
-    periodic_autocorrelation,
     units,
     verify_cw,
     verify_sets,
@@ -28,6 +27,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
+from row_reference import periodic_autocorrelation
 
 small_sets = st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), max_size=6))

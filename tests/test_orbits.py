@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from cwmat import (
     ModulusContext,
+    Olp,
+    OlpPair,
+    base_orders,
     divisors,
     orbit_count,
     orbit_count_cap,
     orbit_of,
     orbits_of_length,
-    required_divisors,
     units,
 )
+from cwmat.orbits import hosting_divisors
 from golden import ORBIT_CAPS_T2, ORBITS_LEN5_MOD31, REQUIRED_DIVISOR_CASES
 from orbit_lister import orbit_lengths, t_orbits
 
@@ -171,33 +174,47 @@ def test_cap_bounds_every_modulus(n, i):
     assert len(orbits_of_length(ctx, i)) <= orbit_count_cap(i, 2)
 
 
+def _required(divs: list[int]) -> list[int]:
+    """The members of divs that no smaller member divides."""
+    return [d for d in divs if all(d % e for e in divs if e < d)]
+
+
 def test_required_divisors_examples():
+    # the required divisors are the hosting divisors minimal under
+    # divisibility, and every multiple of one (dividing t^i - 1) hosts
     for (i, t, count), expected in REQUIRED_DIVISOR_CASES:
-        assert required_divisors(i, t, count) == list(expected)
+        hosts = hosting_divisors(i, t, count)
+        assert _required(hosts) == list(expected)
+        assert hosts == [d for d in divisors(t**i - 1) if any(d % e == 0 for e in expected)]
 
 
 def test_required_divisors_agree_with_enumerated_counts(monkeypatch):
     expected = {
-        (i, count): required_divisors(i, 2, count)
+        (i, count): hosting_divisors(i, 2, count)
         for i in range(1, 9)
         for count in range(1, orbit_count_cap(i, 2) + 1)
     }
     monkeypatch.setattr("cwmat.orbits.orbit_count", _enumerated_count)
     for (i, count), divs in expected.items():
-        assert required_divisors(i, 2, count) == divs
+        assert hosting_divisors(i, 2, count) == divs
 
 
 def test_required_divisors_rejects_impossible_count():
-    # only one length-2 orbit exists under doubling (in Z_3)
-    with pytest.raises(ValueError):
-        required_divisors(2, 2, 2)
+    # only one length-2 orbit exists under doubling (in Z_3), so no
+    # modulus hosts two, and a pair that needs two has no base order
+    assert hosting_divisors(2, 2, 2) == []
+    with pytest.raises(ValueError, match="no modulus hosts 2 orbits of length 2"):
+        base_orders(OlpPair(Olp((2, 2)), Olp(())))
 
 
 @given(odd_orders, st.integers(min_value=1, max_value=6))
 def test_required_divisors_are_necessary(n, i):
-    """If Z_n holds c orbits of length i, some required divisor divides n."""
+    """If Z_n holds c orbits of length i, gcd(n, 2^i - 1) hosts them, so
+    some required divisor divides n."""
     ctx = ModulusContext(n, 2)
     count = len(orbits_of_length(ctx, i))
     if count == 0:
         return
-    assert any(n % d == 0 for d in required_divisors(i, 2, count))
+    hosts = hosting_divisors(i, 2, count)
+    assert math.gcd(n, 2**i - 1) in hosts
+    assert any(n % d == 0 for d in _required(hosts))

@@ -21,20 +21,15 @@ from cwmat import (
     Olp,
     OlpPair,
     PruneReport,
-    cap_feasible,
     cross_pairs,
     describing_set_sizes,
     describing_sets,
     diff_length_candidates,
     divisors,
-    enumerate_partitions,
     feasible_pairs,
     feasible_partitions,
-    length_count_bounds,
     olp_of_set,
     orbit_count_cap,
-    pol_delta,
-    pol_delta_bar,
     prune,
     survivors,
     verify_cw,
@@ -43,11 +38,14 @@ from cwmat.pruning import (
     MAX_CROSS_PAIRS,
     _bounds,
     _capped_partition_count,
+    _capped_partitions,
+    _cross_bounds,
     _cross_row,
     _existence_profile,
     _field,
     _length_at,
     _mask,
+    _side_bounds,
     _width,
 )
 from golden import (
@@ -73,6 +71,37 @@ PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
 
 def _pair(p: str, n: str) -> OlpPair:
     return OlpPair(Olp.from_string(p), Olp.from_string(n))
+
+
+def _uncapped_partitions(total: int) -> list[Olp]:
+    """Every partition of total, by the capped generator with no cap binding."""
+    return _capped_partitions(total, [total] * (total + 1))
+
+
+def _cap_feasible(pair: OlpPair, t: int = 2) -> bool:
+    """The demand test: the orbits of each length that both sides use fit its cap."""
+    return all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
+
+
+def _length_count_bounds(pair: OlpPair, t: int = 2):
+    """(delta, delta_bar) of the packed tables prune reads: length ->
+    (min, max) for the lengths with max > 0; delta sums the P and N tables."""
+    width = _width(pair)
+    p_lo, p_hi = _side_bounds(pair.p, t, width)
+    n_lo, n_hi = _side_bounds(pair.n, t, width)
+
+    def unpack(lo: int, hi: int) -> dict[int, tuple[int, int]]:
+        mins = _packed_fields(lo, width)
+        return {m: (mins.get(m, 0), top) for m, top in _packed_fields(hi, width).items()}
+
+    return unpack(p_lo + n_lo, p_hi + n_hi), unpack(*_cross_bounds(pair, t, width))
+
+
+def _own_lengths(olp: Olp, t: int = 2) -> frozenset[int]:
+    """pol(Delta) of one describing set: the lengths of its own differences,
+    read off the bitmask the existence level builds."""
+    mask = _existence_profile(olp, t)[1]
+    return frozenset(_length_at[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def test_olp_parse_and_format():
@@ -108,7 +137,7 @@ def test_olp_total_and_multiplicities():
 
 @given(st.integers(min_value=0, max_value=11))
 def test_olp_string_round_trip(total):
-    for olp in enumerate_partitions(total):
+    for olp in _reference_partitions(total):
         assert Olp.from_string(str(olp)) == olp
 
 
@@ -120,26 +149,21 @@ def test_olp_of_set_examples():
 
 
 def test_enumerate_partitions_of_6_in_order():
-    assert tuple(str(o) for o in enumerate_partitions(6)) == PARTITIONS_OF_6
+    assert tuple(str(o) for o in _uncapped_partitions(6)) == PARTITIONS_OF_6
 
 
 def test_enumerate_partitions_counts():
     for total, expected in enumerate(PARTITION_NUMBERS):
-        assert len(enumerate_partitions(total)) == expected
-    assert enumerate_partitions(0) == [Olp(())]
-    assert [o.parts for o in enumerate_partitions(4, max_part=2)] == [
-        (1, 1, 1, 1),
-        (1, 1, 2),
-        (2, 2),
-    ]
+        assert len(_uncapped_partitions(total)) == expected
+    assert _uncapped_partitions(0) == [Olp(())]
     with pytest.raises(ValueError, match="nonnegative"):
-        enumerate_partitions(-1)
+        feasible_partitions(-1)
 
 
 @given(st.integers(min_value=0, max_value=12))
 def test_enumerate_partitions_are_sorted_distinct_sums(total):
     seen = set()
-    for olp in enumerate_partitions(total):
+    for olp in _uncapped_partitions(total):
         assert olp.total == total
         assert tuple(sorted(olp.parts)) == olp.parts
         assert olp.parts not in seen
@@ -166,9 +190,9 @@ def test_feasible_partitions_are_the_capped_enumeration(t):
     """The capped generator lists exactly the partitions that fit the
     caps, in the order of the full enumeration."""
     for size in range(26):
-        everything = enumerate_partitions(size)
+        everything = _reference_partitions(size)
         if size <= 20:
-            assert everything == _reference_partitions(size), size
+            assert _uncapped_partitions(size) == everything, size
         caps = _caps(size, t)
         fitting = [
             olp
@@ -223,12 +247,14 @@ def test_cross_and_feasible_pairs_for_weight_16():
 
 
 def test_cap_feasible_checks_combined_multiplicities():
+    cross, feasible = cross_pairs(16), feasible_pairs(16)
     # both sides fit alone; four 3-orbits together exceed the cap of 3
-    assert not cap_feasible(_pair("3^2 4^1", "3^2"))
-    assert cap_feasible(_pair("10^1", "6^1"))
-    assert not cap_feasible(_pair("1^6 4^1", "6^1"))
-    # a side that exceeds a cap on its own, at a length the other side lacks
-    assert not cap_feasible(_pair("10^1", "1^6"))
+    assert _pair("3^2 4^1", "3^2") in cross
+    assert _pair("3^2 4^1", "3^2") not in feasible
+    assert _pair("10^1", "6^1") in feasible
+    # a side that exceeds a cap on its own is in no cross pair
+    assert _pair("1^6 4^1", "6^1") not in cross
+    assert _pair("10^1", "1^6") not in cross
 
 
 def test_diff_length_candidates_examples():
@@ -324,43 +350,45 @@ def test_candidates_sound_for_small_pairs_at_t_3():
 
 
 def test_pol_delta_examples():
-    assert pol_delta(Olp.from_string("4^1 6^1")) == frozenset({2, 3, 4, 6, 12})
-    assert pol_delta(Olp.from_string("1^1 2^1 3^1")) == frozenset({2, 3, 6})
-    assert pol_delta(Olp.from_string("5^2")) == frozenset({5})
-    assert pol_delta(Olp.from_string("1^1")) == frozenset()
+    assert _own_lengths(Olp.from_string("4^1 6^1")) == frozenset({2, 3, 4, 6, 12})
+    assert _own_lengths(Olp.from_string("1^1 2^1 3^1")) == frozenset({2, 3, 6})
+    assert _own_lengths(Olp.from_string("5^2")) == frozenset({5})
+    assert _own_lengths(Olp.from_string("1^1")) == frozenset()
+    # at t = 3 two fixed points differ by a fixed point
+    assert _own_lengths(Olp.from_string("1^2")) == frozenset()
+    assert _own_lengths(Olp.from_string("1^2"), 3) == frozenset({1})
 
 
 def test_pol_delta_bar_examples():
-    assert pol_delta_bar(_pair("5^2", "1^1 5^1")) == frozenset({5})
-    assert pol_delta_bar(_pair("4^1 6^1", "2^1 4^1")) == frozenset({2, 3, 4, 6, 12})
+    assert _length_count_bounds(_pair("5^2", "1^1 5^1"))[1].keys() == {5}
+    assert _length_count_bounds(_pair("4^1 6^1", "2^1 4^1"))[1].keys() == {2, 3, 4, 6, 12}
 
 
 def test_length_count_bounds_detects_forced_excess():
-    b = length_count_bounds(_pair("4^1 6^1", "1^1 2^1 3^1"))
-    assert b.delta_bounds(12) == (48, 48)
-    assert b.delta_bar_bounds(12) == (24, 24)
+    delta, delta_bar = _length_count_bounds(_pair("4^1 6^1", "1^1 2^1 3^1"))
+    assert delta[12] == (48, 48)
+    assert delta_bar[12] == (24, 24)
 
-    b = length_count_bounds(_pair("1^1 9^1", "3^2"))
-    assert b.delta_bounds(3) == (30, 102)
-    assert b.delta_bar_bounds(3) == (12, 12)
+    delta, delta_bar = _length_count_bounds(_pair("1^1 9^1", "3^2"))
+    assert delta[3] == (30, 102)
+    assert delta_bar[3] == (12, 12)
 
 
 def test_length_count_bounds_intra_orbit_floor():
     # doubling maps each 4-orbit into itself, forcing 8 internal differences
-    b = length_count_bounds(_pair("4^1 6^1", "6^1"))
-    assert b.delta_bounds(4) == (8, 12)
-    assert b.delta_bar_bounds(4) == (0, 0)
+    delta, delta_bar = _length_count_bounds(_pair("4^1 6^1", "6^1"))
+    assert delta[4] == (8, 12)
+    assert 4 not in delta_bar
     # with t such that the floor does not apply, only the upper bound remains
-    b1 = length_count_bounds(_pair("4^1 6^1", "6^1"), t=1)
-    assert b1.delta_bounds(4)[0] == 0
+    delta1, _ = _length_count_bounds(_pair("4^1 6^1", "6^1"), t=1)
+    assert delta1[4][0] == 0
 
 
 def test_length_count_bounds_totals():
-    pair = _pair("5^2", "1^1 5^1")
-    b = length_count_bounds(pair)
-    assert b.delta_bar_bounds(5) == (120, 120)
+    _, delta_bar = _length_count_bounds(_pair("5^2", "1^1 5^1"))
+    assert delta_bar[5] == (120, 120)
     # every cross candidate set is a singleton, so maxima sum to 2|P||N|
-    assert sum(b.delta_bar_bounds(ell)[1] for ell in b.lengths) == 2 * 10 * 6
+    assert sum(hi for _, hi in delta_bar.values()) == 2 * 10 * 6
 
 
 def _reference_tables(pair: OlpPair, t: int):
@@ -408,18 +436,10 @@ def _reference_tables(pair: OlpPair, t: int):
 def _assert_bounds_match_the_reference(pairs):
     for pair in pairs:
         for t in (2, 1):
-            delta, delta_bar = _reference_tables(pair, t)
-            b = length_count_bounds(pair, t)
-            assert b.lengths == tuple(sorted(delta.keys() | delta_bar.keys())), str(pair)
-            for ell in b.lengths:
-                assert b.delta_bounds(ell) == delta.get(ell, (0, 0)), (str(pair), t, ell)
-                assert b.delta_bar_bounds(ell) == delta_bar.get(ell, (0, 0)), (str(pair), t, ell)
-        delta, delta_bar = _reference_tables(pair, 2)
-        assert pol_delta(pair.p) | pol_delta(pair.n) == frozenset(delta), str(pair)
-        assert pol_delta_bar(pair) == frozenset(delta_bar), str(pair)
+            assert _length_count_bounds(pair, t) == _reference_tables(pair, t), (str(pair), t)
         for olp in (pair.p, pair.n):
             own, _ = _reference_tables(OlpPair(olp, Olp(())), 2)
-            assert pol_delta(olp) == frozenset(own), str(olp)
+            assert _own_lengths(olp) == frozenset(own), str(olp)
 
 
 @pytest.mark.parametrize("weight", [4, 9, 16, 25])
@@ -455,7 +475,7 @@ def test_existence_masks_and_cross_rows_match_the_tables():
     masks of an olp's own (k, l), is the key set of its bound table; the
     delta_bar table, summed from rows cached per (olp(N), k) and weighted
     by the multiplicity of k, is the table of one contribution per
-    (P part, N part) and the table length_count_bounds reports."""
+    (P part, N part) and the reference table."""
     for weight in (0, 4, 9, 16, 25, 36):
         for t in (2, 3):
             for size in describing_set_sizes(weight):
@@ -481,7 +501,7 @@ def test_existence_masks_and_cross_rows_match_the_tables():
                     for l, d in n_mults.items()
                 ]
                 assert (lo, hi) == _bounds(crosses, t, width), str(pair)
-                expected = length_count_bounds(pair, t).delta_bar
+                _, expected = _reference_tables(pair, t)
                 assert _packed_fields(hi, width) == {m: b[1] for m, b in expected.items()}
                 assert _packed_fields(lo, width) == {m: b[0] for m, b in expected.items() if b[0]}
 
@@ -604,11 +624,7 @@ def test_existence_witnesses_are_shared_between_reports():
 )
 def test_feasible_pairs_are_the_cap_feasible_cross_pairs(weight, t):
     cross = cross_pairs(weight, t)
-    assert feasible_pairs(weight, t) == [p for p in cross if cap_feasible(p, t)]
-    for pair in cross:
-        # the demand formulation: combined orbits per length against the cap
-        by_demand = all(need <= orbit_count_cap(ell, t) for ell, need in pair.demand)
-        assert cap_feasible(pair, t) == by_demand, str(pair)
+    assert feasible_pairs(weight, t) == [p for p in cross if _cap_feasible(p, t)]
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])

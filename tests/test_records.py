@@ -19,7 +19,6 @@ from cwmat import (
     EquivalenceClass,
     EquivalenceWitness,
     ExistenceWitness,
-    LengthCountBounds,
     ModulusContext,
     Olp,
     OlpPair,
@@ -38,7 +37,6 @@ RECORDS = [
     (ModulusContext(33, 35), "ModulusContext(n=33, t=2)"),
     (Orbit((1, 2, 4)), "Orbit(elements=(1, 2, 4))"),
     (Olp((5, 1)), "Olp(parts=(1, 5))"),
-    (LengthCountBounds({3: (0, 2)}, {}), "LengthCountBounds(delta={3: (0, 2)}, delta_bar={})"),
     (ExistenceWitness(5, 2, (10,)), "ExistenceWitness(k=5, l=2, lengths=(10,))"),
     (ROW, ROW_REPR),
     (
@@ -71,10 +69,6 @@ def test_record_contract(record, text):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert record == tuple(record)
-    if isinstance(record, LengthCountBounds):  # dict fields: unhashable, as before
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-        return
     assert hash(twin) == hash(record) == hash(tuple(record))
 
 

@@ -21,7 +21,6 @@ from cwmat import (
     canonical_form,
     class_contractible,
     classify,
-    contract,
     cross_pairs,
     exhaustive_search,
     feasible_pairs,
@@ -29,9 +28,7 @@ from cwmat import (
     full_classification,
     lift,
     multiplier_shift,
-    normalize_sign,
     olp_of_set,
-    periodic_autocorrelation,
     prune,
     verify_cw,
 )
@@ -59,6 +56,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
+from row_reference import normalize_sign, periodic_autocorrelation
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
@@ -502,23 +500,33 @@ def test_derived_rule_matches_the_search_at_t_3_at_every_order(weight, t, orders
         ], f"n={n}"
 
 
+def _classes_up_to_negation(rows) -> dict[CirculantRow, tuple[CirculantRow, ...]]:
+    """Sorted members by the lesser canonical form of row and -row: the
+    rows grouped up to sign as well as shift and substitution."""
+    groups: dict[CirculantRow, list[CirculantRow]] = {}
+    for row in rows:
+        groups.setdefault(min(canonical_form(row), canonical_form(-row)), []).append(row)
+    return {rep: tuple(sorted(members)) for rep, members in groups.items()}
+
+
 @pytest.mark.parametrize(
     "weight,t,n",
     [(16, 2, n) for n in (21, 31, 63, 93)] + [(4, 2, 7), (4, 2, 21), (9, 3, 13), (9, 3, 26)],
 )
 def test_classes_up_to_negation_are_the_same_classes(weight, t, n):
     """Equivalence keeps |P| and |N|, which differ at a square weight, so no
-    row is equivalent to its negation: up_to_negation changes only the
-    representative shown, to its negation's canonical form (more -1 than +1)."""
+    row is equivalent to its negation: grouping up to sign as well keeps the
+    search's classes and changes only the representative, to its negation's
+    canonical form (more -1 than +1)."""
     classes = 0
     for pair in _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t))):
         report = exhaustive_search(SearchSpec(n, weight, t, pair))
         rep_of = {c.members: c.representative for c in report.classes}
-        negated = classify(report.solutions, up_to_negation=True)
-        assert sorted(c.members for c in negated) == sorted(rep_of), f"n={n} {pair}"
-        for c in negated:
-            assert c.representative == canonical_form(-rep_of[c.members])
-            assert c.representative.coeffs.count(-1) > c.representative.coeffs.count(1)
+        negated = _classes_up_to_negation(report.solutions)
+        assert sorted(negated.values()) == sorted(rep_of), f"n={n} {pair}"
+        for rep, members in negated.items():
+            assert rep == canonical_form(-rep_of[members])
+            assert rep.coeffs.count(-1) > rep.coeffs.count(1)
         classes += len(negated)
     assert classes > 0
 
@@ -553,8 +561,9 @@ def test_classify_groups_by_equivalence():
 
 
 def test_classify_up_to_negation():
+    # negation is no equivalence: classify keeps a row and its negation apart
     assert len(classify([W1, -W1])) == 2
-    assert len(classify([W1, -W1], up_to_negation=True)) == 1
+    assert len(_classes_up_to_negation([W1, -W1])) == 1
 
 
 def test_base_orders_examples():
@@ -568,7 +577,7 @@ def test_base_orders_agree_with_enumerated_counts(monkeypatch):
 
     pairs = feasible_pairs(16)
     expected = [base_orders(q) for q in pairs]
-    # base_orders counts through the helper it shares with required_divisors
+    # base_orders counts through hosting_divisors, which calls orbit_count
     monkeypatch.setattr("cwmat.orbits.orbit_count", enumerated_count)
     assert [base_orders(q) for q in pairs] == expected
 
@@ -597,15 +606,6 @@ def test_lift_of_21_class_lands_in_63_search():
     assert are_equivalent(W1_63, lifted) is None
 
 
-def test_contract_examples():
-    base, m = contract(lift(W0_21, 3))
-    assert (base, m) == (W0_21, 3)
-    base, m = contract(W1)
-    assert (base, m) == (W1, 1)
-    with pytest.raises(ValueError, match="zero row"):
-        contract(CirculantRow.from_string("000"))
-
-
 @given(
     st.integers(min_value=1, max_value=15).flatmap(
         lambda n: st.lists(
@@ -617,9 +617,7 @@ def test_contract_examples():
 def test_lift_preserves_weight_and_contracts_back(r, m):
     lifted = lift(r, m)
     assert verify_cw(lifted) == verify_cw(r)
-    if any(r.coeffs):
-        base, k = contract(lifted)
-        assert lift(base, k) == lifted
+    assert CirculantRow(r.n, lifted.coeffs[::m]) == r
 
 
 def test_class_contractible_examples():
