@@ -45,20 +45,22 @@ def _olp_json(olp: Olp) -> list[list[int]]:
     return [[length, mult] for length, mult in sorted(olp.multiplicities.items())]
 
 
-def _set_olp(indices, n: int, t: int) -> Olp | None:
-    """olp of an index set, or None when it is not a union of t-orbits
-    (or t is not even a unit mod n)."""
+def _set_olp(indices, ctx: ModulusContext) -> Olp | None:
+    """olp of an index set, or None when it is not a union of t-orbits."""
     try:
-        return olp_of_set(indices, ModulusContext(n, t))
+        return olp_of_set(indices, ctx)
     except ValueError:
         return None
 
 
-def _row_payload(row: CirculantRow, t: int) -> dict:
+def _row_payload(
+    row: CirculantRow, ctx: ModulusContext | None
+) -> tuple[dict, Olp | None, Olp | None]:
+    """The row's payload, with olp(P) and olp(N) for the text output;
+    without a ctx both are None."""
     sets = describing_sets(row)
-    olp_p = _set_olp(sets.P, row.n, t)
-    olp_n = _set_olp(sets.N, row.n, t)
-    return {
+    olp_p, olp_n = (None if ctx is None else _set_olp(s, ctx) for s in sets)
+    payload = {
         "n": row.n,
         "weight": verify_cw(row),
         "row": row.to_string(),
@@ -67,6 +69,7 @@ def _row_payload(row: CirculantRow, t: int) -> dict:
         "olpP": None if olp_p is None else _olp_json(olp_p),
         "olpN": None if olp_n is None else _olp_json(olp_n),
     }
+    return payload, olp_p, olp_n
 
 
 def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
@@ -114,21 +117,22 @@ def _stage(path: str) -> str:
     return staged
 
 
-def _olp_text(olp: Olp | None, t: int) -> str:
-    if olp is None:
-        return f"none (not a union of {t}-orbits)"
-    return str(olp)
-
-
 def cmd_verify(args) -> int:
     try:
         row = CirculantRow.from_string(args.row)
     except ValueError as exc:
         return _usage_error(str(exc))
-    t = args.multiplier
+    t = 2 if args.multiplier is None else args.multiplier
     if t < 2:  # as prune and search refuse it
         return _usage_error(f"multiplier base must be at least 2, got {t}")
-    payload = _row_payload(row, t)
+    try:  # x -> t*x permutes Z_n only for a unit t
+        ctx = ModulusContext(row.n, t)
+        no_olp = f"none (not a union of {t}-orbits)"
+    except ValueError as exc:
+        if args.multiplier is not None:
+            return _usage_error(str(exc))
+        ctx, no_olp = None, f"none ({exc})"  # the default t = 2 at an even order
+    payload, olp_p, olp_n = _row_payload(row, ctx)
     mults = []
     # units(1) is [0]; the identity substitution is t=1 at every order
     for u in units(row.n) if row.n > 1 else [1]:
@@ -136,8 +140,7 @@ def cmd_verify(args) -> int:
         if s is not None:
             mults.append([u, s])
     payload["multipliers"] = mults
-    sets = describing_sets(row)
-    payload["cwEquation"] = cw_equation_holds(sets.P, sets.N, row.n)
+    payload["cwEquation"] = cw_equation_holds(payload["P"], payload["N"], row.n)
 
     weight = payload["weight"]
     lines = [
@@ -146,8 +149,8 @@ def cmd_verify(args) -> int:
         f"row: {row.to_string()}",
         f"P: {' '.join(map(str, payload['P'])) or '-'}",
         f"N: {' '.join(map(str, payload['N'])) or '-'}",
-        f"olp(P): {_olp_text(_set_olp(sets.P, row.n, t), t)}",
-        f"olp(N): {_olp_text(_set_olp(sets.N, row.n, t), t)}",
+        f"olp(P): {no_olp if olp_p is None else olp_p}",
+        f"olp(N): {no_olp if olp_n is None else olp_n}",
         "multipliers: " + (", ".join(f"t={u} s={s}" for u, s in mults) or "none"),
         f"cw equation: {'holds' if payload['cwEquation'] else 'fails'}",
     ]
@@ -218,6 +221,7 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     report = exhaustive_search(spec)
+    ctx = ModulusContext(spec.n, spec.t)
 
     payload = {
         "n": spec.n,
@@ -226,7 +230,7 @@ def cmd_search(args) -> int:
         "olpP": _olp_json(pair.p),
         "olpN": _olp_json(pair.n),
         "candidatesTested": report.candidates_tested,
-        "solutions": [_row_payload(row, spec.t) for row in report.solutions],
+        "solutions": [_row_payload(row, ctx)[0] for row in report.solutions],
         "classes": [
             {
                 "representative": c.representative.to_string(),
@@ -301,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one sign-string row")
     p.add_argument("row", help="sign string, e.g. '-++0+00' (spaces allowed)")
-    p.add_argument("--multiplier", type=int, default=2,
-                   help="t used for the olp readout (default 2)")
+    p.add_argument("--multiplier", type=int, default=None,
+                   help="t used for the olp readout, a unit mod n "
+                        "(default 2, read only at odd n)")
     _output_flags(p)
     p.set_defaults(func=cmd_verify)
 

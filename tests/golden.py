@@ -24,6 +24,13 @@ KNOWN_CW_13_9 = "0-+-0++++-0+0"
 KNOWN_CW_13_9_P = frozenset({2, 5, 6, 7, 8, 11})
 KNOWN_CW_13_9_N = frozenset({1, 3, 9})
 
+# The two classes of CW(13, 9) with six +1 entries, each fixed by 3 up to
+# a shift. A scan of all 60060 rows of order 13 with six +1 and three -1
+# entries found 104 weighing rows, in exactly two classes of 52 under
+# i -> t*i + s; these are the representatives that
+# `cwmat search 13 9 '3^2' '3^1' --multiplier 3` reports for them.
+CW_13_9_CLASSES = ("--00++0+0+-++", "--0+-+00+0+++")
+
 # --- the two inequivalent classes at order 31 ------------------------------
 
 W1_31_P = frozenset({3, 6, 7, 12, 14, 17, 19, 24, 25, 28})

@@ -18,9 +18,9 @@ from cwmat import (
     SearchSpec,
     apply_transform,
     are_equivalent,
+    canonical_form,
     class_contractible,
     classify,
-    conjugate_to_circulant,
     cross_pairs,
     cw_equation_holds,
     describing_sets,
@@ -47,11 +47,14 @@ from golden import (
     KNOWN_REJECTION_WITNESSES,
     W0_21_N,
     W0_21_P,
+    W1_63_N,
+    W1_63_P,
     W1_31_N,
     W1_31_P,
     W2_31_N,
     W2_31_P,
 )
+from kronecker_oracle import conjugate_to_circulant, crt_product, weighing_weight
 from orbit_lister import orbit_lengths, t_orbits
 from row_reference import normalize_sign
 
@@ -292,7 +295,7 @@ def test_criterion_09d_conjugation_equals_lift():
         n = rng.randrange(1, 32)
         m = rng.randrange(1, 8)
         row = CirculantRow(n, tuple(rng.choice((-1, 0, 1)) for _ in range(n)))
-        assert conjugate_to_circulant(row, m) == lift(row, m)
+        assert conjugate_to_circulant(row.coeffs, m) == lift(row, m).coeffs
         assert verify_cw(lift(row, m)) == verify_cw(row)
         checked += 1
     assert checked >= 200
@@ -319,3 +322,28 @@ def test_criterion_10_lifts_stay_inequivalent():
             assert verify_cw(l1) == 16
             assert verify_cw(l2) == 16
             assert are_equivalent(l1, l2) is None
+
+
+def test_criterion_11_kronecker_products_are_classified():
+    """Each class at 21, 31 and 63 times a CW(m, 1), for every odd m
+    coprime to its order with mn <= 2000, is a CW(mn, 16) that the
+    classification holds: no Kronecker product escapes it."""
+    w21 = W0_21.coeffs
+    classes = (w21, W1.coeffs, W2.coeffs, conjugate_to_circulant(w21, 3),
+               from_sets(63, W1_63_P, W1_63_N).coeffs)
+    forms = {}
+    products = 0
+    with _budget(60.0):
+        for a in classes:
+            n = len(a)
+            for m in range(1, 2000 // n + 1, 2):
+                if gcd(m, n) != 1:
+                    continue
+                w = crt_product(a, (1,) + (0,) * (m - 1))
+                assert weighing_weight(w) == 16, (n, m)
+                if m * n not in forms:
+                    res = full_classification(16, m * n)
+                    forms[m * n] = {canonical_form(c) for c in res.classes}
+                assert canonical_form(CirculantRow(m * n, w)) in forms[m * n], (n, m)
+                products += 1
+    assert products == 109

@@ -386,6 +386,35 @@ def test_search_rejects_multiplier_below_two(capsys, t):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "-++0+00", "--multiplier", "7"), "t=7 is not a unit mod 7"),
+        # N is empty, which is no reason to read it as a union of 2-orbits
+        (("verify", "++", "--multiplier", "2"), "t=2 is not a unit mod 2"),
+        (("verify", "-++0+00", "--multiplier", "14", "--format", "json"),
+         "t=14 is not a unit mod 7"),
+        (("search", "7", "4", "3^1", "1^1", "--multiplier", "7"), "t=7 is not a unit mod 7"),
+    ],
+)
+def test_verify_and_search_reject_a_multiplier_that_is_no_unit(capsys, argv, message):
+    # x -> t*x does not permute Z_n when gcd(t, n) > 1, so there are no orbits to read
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_verify_default_multiplier_reads_no_olp_at_even_order(capsys):
+    # t = 2 is only the default: an even row still verifies, with no olp
+    code, out, _ = run(capsys, "verify", "+0")
+    assert code == 0
+    assert "olp(P): none (t=2 is not a unit mod 2)\nolp(N): none (t=2" in out
+    code, out, _ = run(capsys, "verify", "+0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["olpP"] is None
+
+
+@pytest.mark.parametrize(
     "olp_p,olp_n,t",
     [
         ("1^10", "1^6", "64"),  # 63 fixed points: about 2.9e18 assignments
