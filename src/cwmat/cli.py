@@ -30,12 +30,14 @@ from .pruning import (
     OlpPair,
     feasible_pairs,
     olp_of_set,
+    olp_tokens,
     prune,
 )
 from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
 from .search import (
     SearchSpec,
     check_classified_weight,
+    check_olp_sums,
     exhaustive_search,
     full_classification,
 )
@@ -215,8 +217,12 @@ def cmd_prune(args) -> int:
 
 
 def cmd_search(args) -> int:
+    texts = (args.olpP, args.olpN)
     try:
-        pair = OlpPair(Olp.from_string(args.olpP), Olp.from_string(args.olpN))
+        # the sums from the tokens first: a part list is as long as its sum
+        sums = tuple(sum(ell * m for ell, m in olp_tokens(text)) for text in texts)
+        check_olp_sums(args.weight, sums)
+        pair = OlpPair(*map(Olp.from_string, texts))
         spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
     except ValueError as exc:
         return _usage_error(str(exc))

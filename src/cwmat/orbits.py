@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 
 def units(n: int) -> list[int]:
@@ -62,26 +61,9 @@ class ModulusContext(namedtuple("ModulusContext", "n t")):
         return tuple.__new__(cls, (n, t % n))
 
 
-class Orbit(NamedTuple):
-    """A t-orbit, elements listed once around the cycle starting from the
-    smallest one (the canonical generator)."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def generator(self) -> int:
-        return self.elements[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-
-def orbit_of(a: int, ctx: ModulusContext) -> Orbit:
-    """The t-orbit through a."""
+def orbit_of(a: int, ctx: ModulusContext) -> tuple[int, ...]:
+    """The t-orbit through a, listed once around the cycle from its
+    smallest element."""
     if not 0 <= a < ctx.n:
         raise ValueError(f"residue {a} out of range for modulus {ctx.n}")
     cycle = [a]
@@ -90,11 +72,11 @@ def orbit_of(a: int, ctx: ModulusContext) -> Orbit:
         cycle.append(x)
         x = x * ctx.t % ctx.n
     i = cycle.index(min(cycle))
-    return Orbit(tuple(cycle[i:] + cycle[:i]))
+    return tuple(cycle[i:] + cycle[:i])
 
 
-def orbits_of_length(ctx: ModulusContext, i: int) -> list[Orbit]:
-    """All orbits of length exactly i, sorted by canonical generator.
+def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
+    """All orbits of length exactly i, sorted.
 
     Candidates are the multiples of n/gcd(n, t^i - 1) (orbit length
     divides i); the ones with a properly dividing length are dropped.
@@ -109,10 +91,10 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[Orbit]:
         if a in seen:
             continue
         orb = orbit_of(a, ctx)
-        seen.update(orb.elements)
-        if orb.length == i:
+        seen.update(orb)
+        if len(orb) == i:
             out.append(orb)
-    out.sort(key=lambda o: o.generator)
+    out.sort()
     return out
 
 

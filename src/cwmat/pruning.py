@@ -81,17 +81,9 @@ class Olp(namedtuple("Olp", "parts")):
     def from_string(cls, text: str) -> "Olp":
         """Parse space-separated 'length^multiplicity' tokens, e.g. '1^1 5^1'."""
         parts: list[int] = []
-        for token in text.split():
-            length_s, sep, mult_s = token.partition("^")
-            try:
-                length = int(length_s)
-                mult = int(mult_s) if mult_s else 1
-            except ValueError:
-                raise ValueError(f"bad olp token {token!r}") from None
-            if length < 1 or mult < 1 or (sep and not mult_s):
-                raise ValueError(f"bad olp token {token!r}")
+        for length, mult in olp_tokens(text):
             parts.extend([length] * mult)
-        return cls(tuple(parts))
+        return cls(parts)
 
     def __str__(self) -> str:
         mults = self.multiplicities
@@ -104,6 +96,24 @@ class Olp(namedtuple("Olp", "parts")):
     @property
     def multiplicities(self) -> dict[int, int]:
         return dict(Counter(self.parts))
+
+
+def olp_tokens(text: str) -> list[tuple[int, int]]:
+    """(length, multiplicity) of each token of an olp string, in order; a
+    bare length has multiplicity 1. Nothing is expanded, so the sum of
+    length * multiplicity is known before any part is listed."""
+    tokens = []
+    for token in text.split():
+        length_s, sep, mult_s = token.partition("^")
+        try:
+            length = int(length_s)
+            mult = int(mult_s) if mult_s else 1
+        except ValueError:
+            raise ValueError(f"bad olp token {token!r}") from None
+        if length < 1 or mult < 1 or (sep and not mult_s):
+            raise ValueError(f"bad olp token {token!r}")
+        tokens.append((length, mult))
+    return tokens
 
 
 Demand = tuple[tuple[int, int], ...]
@@ -140,11 +150,11 @@ def olp_of_set(X, ctx: ModulusContext) -> Olp:
     remaining = set(x % ctx.n for x in X)
     parts = []
     while remaining:
-        orb = orbit_of(min(remaining), ctx)
-        if not remaining.issuperset(orb.elements):
+        o = orbit_of(min(remaining), ctx)
+        if not remaining.issuperset(o):
             raise ValueError("set is not a union of t-orbits")
-        remaining.difference_update(orb.elements)
-        parts.append(orb.length)
+        remaining.difference_update(o)
+        parts.append(len(o))
     return Olp(tuple(parts))
 
 
@@ -197,13 +207,6 @@ def describing_set_sizes(weight: int) -> tuple[int, int]:
 def _caps(size: int, t: int) -> list[int]:
     """orbit_count_cap by length, 1..size; index 0 is unused."""
     return [0] + [orbit_count_cap(ell, t) for ell in range(1, size + 1)]
-
-
-def feasible_partitions(size: int, t: int = 2) -> list[Olp]:
-    """Partitions of size whose own multiplicities fit the orbit caps."""
-    if size < 0:
-        raise ValueError(f"total must be nonnegative, got {size}")
-    return _capped_partitions(size, _caps(size, t))
 
 
 # The most (olp(P), olp(N)) combinations cross_pairs and feasible_pairs

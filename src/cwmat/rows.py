@@ -10,11 +10,9 @@ images.
 Equivalence is generated by cyclic shifts and the substitutions
 x -> x^t with gcd(t, n) = 1: the witness (s, t) sends the coefficient
 at index i to index t*i + s (mod n). Negation is deliberately NOT part
-of equivalence; the search sign-normalizes its hits by popcount, keeping
-the sign with more +1 entries. A row of weight k is read through its k
-support indices wherever the work allows: the shifts that carry one row
-onto another are read off the supports, in O(k^2) per unit rather than
-O(n).
+of equivalence. A row of weight k is read through its k support indices
+wherever the work allows: the shifts that carry one row onto another are
+read off the supports, in O(k^2) per unit rather than O(n).
 
 Conventions:
   sign strings: '-', '0', '+' read left to right as w_0 .. w_{n-1},
@@ -63,16 +61,12 @@ class CirculantRow(namedtuple("CirculantRow", "n coeffs")):
             raise ValueError(f"bad sign character {exc.args[0]!r}") from None
         return cls(len(coeffs), coeffs)
 
-    def to_string(self, spaced: bool = False) -> str:
-        chars = [_COEFF_TO_CHAR[c] for c in self.coeffs]
-        return (" " if spaced else "").join(chars)
+    def to_string(self) -> str:
+        return "".join(_COEFF_TO_CHAR[c] for c in self.coeffs)
 
     @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
-
-    def __neg__(self) -> "CirculantRow":
-        return CirculantRow(self.n, tuple(-c for c in self.coeffs))
 
 
 class DescribingSets(NamedTuple):
@@ -269,7 +263,8 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     the only starts worth trying are the images t*i of the positions i
     holding the least coefficient of the row: its -1 entries if it has
     any, else its 0 entries, else every entry. Equal windows are equal
-    rows, so the order in which starts are tried does not matter.
+    rows, so the order in which starts are tried does not matter, and the
+    least window, read back as coefficients, is the form.
 
     multiplier is a unit m that may fix the row up to a shift. If it
     does, row(x^m) = x^s * row, then row(x^(u*m)) = x^(s*u) * row(x^u):
@@ -283,7 +278,7 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     scanned = _coset_leaders(n, multiplier) if fixed else units(n)
     least = min(coeffs)
     starts = [i for i, c in enumerate(coeffs) if c == least]
-    best: tuple[bytes, int, int] | None = None
+    best: bytes | None = None
     for t in scanned:
         image = bytearray(b"\1") * n
         for i in support:
@@ -292,9 +287,7 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
         for i in starts:
             p = t * i % n
             cand = doubled[p : p + n]
-            if best is None or cand < best[0]:
-                best = (cand, p, t)
+            if best is None or cand < best:
+                best = cand
     assert best is not None
-    # window p of the doubled image is x^(n-p) * row(x^t)
-    _, p, t = best
-    return apply_transform(row, EquivalenceWitness((n - p) % n, t))
+    return CirculantRow(n, [c - 1 for c in best])

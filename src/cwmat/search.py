@@ -42,9 +42,14 @@ scratch. It canonicalizes once per class, not per row: a new hit (a
 union of t-orbits, so one unit per coset of <t> in U(n) is scanned)
 records its images row(x^u), u a coset leader, under its form, and a
 later hit among them needs no call. The cross-check merges the per-pair
-classes by their canonical representatives, which come out sorted, and
-compares them with the sorted canonical forms of the rule's
-representatives in one step.
+classes by their canonical representatives and compares them, sorted,
+with the sorted rule representatives in one step, as rows. The rule's
+lifts need no canonicalizing of their own: a lift L = lift(r, m) of a
+canonical row r with a -1 entry is canonical. Every row equivalent to L
+has its support in one coset s + mZ_n; a least one has -1 at index 0,
+so that coset is mZ_n, and rows on mZ_n compare as their contractions.
+Those contractions are the rows equivalent to r, as U(n) maps onto
+U(n/m), so the least is r and the least row equivalent to L is L.
 """
 from __future__ import annotations
 
@@ -83,6 +88,13 @@ from .rows import (
 MAX_ASSIGNMENTS = 10**6
 
 
+def check_olp_sums(weight: int, sums: tuple[int, int]) -> None:
+    """Raise ValueError unless the olp sums are (|P|, |N|) for the weight."""
+    sizes = describing_set_sizes(weight)
+    if sums != sizes:
+        raise ValueError(f"olp sums must be {sizes} for weight {weight}, got {sums}")
+
+
 class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
     """Order, weight, multiplier, and orbit length partition pair, with
     at most MAX_ASSIGNMENTS orbit assignments."""
@@ -94,12 +106,7 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
             raise ValueError(f"multiplier base must be at least 2, got {t}")
         if gcd(t, n) != 1:
             raise ValueError(f"t={t} is not a unit mod {n}")
-        p_size, n_size = describing_set_sizes(weight)
-        if (pair.p.total, pair.n.total) != (p_size, n_size):
-            raise ValueError(
-                f"olp sums must be ({p_size}, {n_size}) for weight "
-                f"{weight}, got ({pair.p.total}, {pair.n.total})"
-            )
+        check_olp_sums(weight, (pair.p.total, pair.n.total))
         self = tuple.__new__(cls, (n, weight, t, pair))
         count = self.assignment_count
         if count > MAX_ASSIGNMENTS:
@@ -157,7 +164,7 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
     n_mults = spec.pair.n.multiplicities
     lengths = [ell for ell, _ in spec.pair.demand]
     available = {
-        ell: [(sum(1 << x for x in o.elements), o.elements) for o in orbits_of_length(ctx, ell)]
+        ell: [(sum(1 << x for x in o), o) for o in orbits_of_length(ctx, ell)]
         for ell in lengths
     }
 
@@ -186,9 +193,9 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
 def exhaustive_search(spec: SearchSpec) -> SearchReport:
     """Test every orbit assignment; report solutions and their classes.
 
-    solutions are the distinct sign-normalized hits, ordered by their
-    canonical form (so class by class, in the order of classes), ties
-    in enumeration order. Raises RuntimeError if a hit fails the
+    solutions are the distinct hits, ordered by their canonical form
+    (so class by class, in the order of classes), ties in enumeration
+    order. Raises RuntimeError if a hit fails the
     difference-multiset equation.
     """
     n, t = spec.n, spec.t
@@ -204,8 +211,6 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
                 f"autocorrelation and the difference-multiset equation disagree "
                 f"at n={n} on {from_sets(n, P, N).to_string()}"
             )
-        if pm.bit_count() < nm.bit_count():  # sign-normalize: more +1 than -1 entries
-            pm, nm, P, N = nm, pm, N, P
         row = seen[pm, nm] = from_sets(n, P, N)  # distinct assignments, distinct hits
         if (pm, nm) not in canon:
             rep = canonical_form(row, multiplier=t)
@@ -295,16 +300,16 @@ class ClassificationResult(NamedTuple):
         return len(self.classes)
 
 
-def _cross_check_error(n: int, reps, forms, found) -> RuntimeError:
+def _cross_check_error(n: int, reps, found) -> RuntimeError:
     """A cross-check failure naming, as sign strings, the rule
-    representatives whose canonical form is no search class, the search
-    class representatives found that are no such form, then both sides."""
+    representatives that are no search class representative, the search
+    class representatives that are no rule representative, then both sides."""
 
     def listed(rows) -> str:
         return ", ".join(r.to_string() for r in rows) or "none"
 
-    no_class = [r for r, form in zip(reps, forms) if form not in found]
-    no_rule = [c for c in found if c not in forms]
+    no_class = [r for r in reps if r not in found]
+    no_rule = [c for c in found if c not in reps]
     return RuntimeError(
         f"rule predicts {len(reps)} classes at n={n}, search found {len(found)}; "
         f"rule representatives with no search class: [{listed(no_class)}]; "
@@ -342,9 +347,10 @@ def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
 
 
 @lru_cache(maxsize=None)
-def _base_classes(pair: OlpPair, weight: int, t: int, d: int) -> tuple[EquivalenceClass, ...]:
-    """The pair's classes at order d, searched once."""
-    return exhaustive_search(SearchSpec(d, weight, t, pair)).classes
+def _base_representatives(pair: OlpPair, weight: int, t: int, d: int) -> tuple[CirculantRow, ...]:
+    """The canonical representatives of the pair's classes at order d, searched once."""
+    classes = exhaustive_search(SearchSpec(d, weight, t, pair)).classes
+    return tuple(c.representative for c in classes)
 
 
 @lru_cache(maxsize=None)
@@ -367,12 +373,13 @@ def _rule_bases(weight: int, t: int, g: int) -> tuple[CirculantRow, ...]:
     for pair, orders in _rule_pairs(weight, t):
         dividing = [b for b in orders if g % b == 0]
         if dividing:
-            reps.extend(c.representative for c in _base_classes(pair, weight, t, lcm(*dividing)))
+            reps.extend(_base_representatives(pair, weight, t, lcm(*dividing)))
     return tuple(reps)
 
 
-def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass, ...]:
-    """Classes of the solutions of every cross pair at order n.
+def _search_all_pairs(n: int, weight: int, t: int = 2) -> list[CirculantRow]:
+    """Canonical representatives of the classes of every cross pair's
+    solutions at order n, sorted.
 
     Only the pairs that Z_n can host are searched: a pair demanding more
     orbits of some length than orbit_count gives has no assignment, so
@@ -385,12 +392,11 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> tuple[EquivalenceClass
     """
     ModulusContext(n, t)  # raises unless n >= 1 and t is a unit mod n; g always is one
     hosted = _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t)))
-    return _group(
-        (c.representative, row)
+    return sorted({
+        c.representative
         for pair in hosted
         for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
-        for row in c.members
-    )
+    })
 
 
 def check_classified_weight(weight: int) -> None:
@@ -411,9 +417,9 @@ def full_classification(
     re-derives the answer by exhaustive search over every olp pair that
     Z_n can host, merges the per-pair classes by their canonical
     representative, and requires those representatives to be exactly
-    the sorted canonical forms of the rule's representatives. On any
-    mismatch it raises RuntimeError naming the representatives that
-    match nothing on the other side, then both sides.
+    the sorted rule representatives, which are canonical (see the module
+    docstring). On any mismatch it raises RuntimeError naming the
+    representatives that match nothing on the other side, then both sides.
     """
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
@@ -426,8 +432,7 @@ def full_classification(
     if cross_check is None:
         cross_check = n <= 105
     if cross_check:
-        found = [c.representative for c in _search_all_pairs(n, weight, t)]
-        forms = [canonical_form(rep, multiplier=t) for rep in reps]
-        if sorted(forms) != found:
-            raise _cross_check_error(n, reps, forms, found)
+        found = _search_all_pairs(n, weight, t)
+        if sorted(reps) != found:
+            raise _cross_check_error(n, reps, found)
     return ClassificationResult(n, weight, tuple(reps), cross_check)

@@ -1,5 +1,5 @@
-"""Test-only row references: the autocorrelation by its definition and
-the sign choice of a square-weight row.
+"""Test-only row references: the autocorrelation by its definition,
+negation and the sign choice of a square-weight row.
 
 They use no library code beyond the row record, so tests can check the
 library's weighing kernel and the search's sign normalization against
@@ -14,10 +14,15 @@ def periodic_autocorrelation(row, lag: int) -> int:
     return sum(c[i] * c[(i + lag) % n] for i in range(n))
 
 
+def negate(row):
+    """The row with every coefficient negated, of the same record type."""
+    return type(row)(row.n, tuple(-c for c in row.coeffs))
+
+
 def normalize_sign(row):
     """The one of row, -row with more +1 than -1 entries; a square
     weight forces |P| != |N|, so a tie is an input error."""
     pos, neg = row.coeffs.count(1), row.coeffs.count(-1)
     if pos == neg:
         raise ValueError(f"row has |P| = |N| = {pos}")
-    return row if pos > neg else -row
+    return row if pos > neg else negate(row)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -334,6 +335,21 @@ def test_search_rejects_wrong_olp_sums(capsys):
     code, _, err = run(capsys, "search", "31", "16", "5^2", "5^2")
     assert code == 2
     assert "olp sums" in err
+
+
+def test_search_refuses_olp_sums_before_listing_any_part(capsys):
+    """'1^1000000' stands for a million parts: the sums are read off the
+    tokens, so the refusal lists none of them."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "search", "31", "16", "1^1000000", "1^6")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: olp sums must be (10, 6) for weight 16, got (1000000, 6)\n"
+    assert out == ""
+    assert peak < 2**20
 
 
 def test_classify_orders(capsys):

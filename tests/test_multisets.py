@@ -27,7 +27,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
-from row_reference import periodic_autocorrelation
+from row_reference import negate, periodic_autocorrelation
 
 small_sets = st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), max_size=6))
@@ -91,8 +91,9 @@ def _image_sets(r: CirculantRow):
     """Describing sets of x^s * (+-r)(x^u): weighing rows again."""
 
     def image(c):
-        s, u, negate = c
-        sets = describing_sets(apply_transform(-r if negate else r, EquivalenceWitness(s, u)))
+        s, u, negated = c
+        row = negate(r) if negated else r
+        sets = describing_sets(apply_transform(row, EquivalenceWitness(s, u)))
         return r.n, set(sets.P), set(sets.N)
 
     return st.tuples(st.integers(0, r.n - 1), st.sampled_from(units(r.n)), st.booleans()).map(image)

@@ -27,7 +27,6 @@ from cwmat import (
     diff_length_candidates,
     divisors,
     feasible_pairs,
-    feasible_partitions,
     olp_of_set,
     orbit_count_cap,
     prune,
@@ -156,8 +155,6 @@ def test_enumerate_partitions_counts():
     for total, expected in enumerate(PARTITION_NUMBERS):
         assert len(_uncapped_partitions(total)) == expected
     assert _uncapped_partitions(0) == [Olp(())]
-    with pytest.raises(ValueError, match="nonnegative"):
-        feasible_partitions(-1)
 
 
 @given(st.integers(min_value=0, max_value=12))
@@ -199,7 +196,7 @@ def test_feasible_partitions_are_the_capped_enumeration(t):
             for olp in everything
             if all(m <= caps[ell] for ell, m in olp.multiplicities.items())
         ]
-        assert feasible_partitions(size, t) == fitting, (size, t)
+        assert _capped_partitions(size, _caps(size, t)) == fitting, (size, t)
 
 
 def test_describing_set_sizes():
@@ -215,14 +212,14 @@ def test_describing_set_sizes():
 
 
 def test_feasible_partitions_for_weight_16():
-    assert [str(o) for o in feasible_partitions(6)] == [
+    assert [str(o) for o in _capped_partitions(6, _caps(6, 2))] == [
         "1^1 2^1 3^1",
         "3^2",
         "2^1 4^1",
         "1^1 5^1",
         "6^1",
     ]
-    assert [str(o) for o in feasible_partitions(10)] == [
+    assert [str(o) for o in _capped_partitions(10, _caps(10, 2))] == [
         "1^1 2^1 3^1 4^1",
         "3^2 4^1",
         "2^1 4^2",
@@ -479,7 +476,7 @@ def test_existence_masks_and_cross_rows_match_the_tables():
     for weight in (0, 4, 9, 16, 25, 36):
         for t in (2, 3):
             for size in describing_set_sizes(weight):
-                for olp in feasible_partitions(size, t):
+                for olp in _capped_partitions(size, _caps(size, t)):
                     parts, mask = _existence_profile(olp, t)
                     assert parts == tuple(sorted(set(olp.parts))), str(olp)
                     own, _ = _reference_tables(OlpPair(olp, Olp(())), t)
@@ -630,16 +627,15 @@ def test_feasible_pairs_are_the_cap_feasible_cross_pairs(weight, t):
 @pytest.mark.parametrize("t", [2, 3, 5])
 def test_capped_partition_count_matches_enumeration(t):
     for size in range(26):
-        assert _capped_partition_count(size, _caps(size, t)) == len(
-            feasible_partitions(size, t)
-        ), (size, t)
+        caps = _caps(size, t)
+        assert _capped_partition_count(size, caps) == len(_capped_partitions(size, caps)), (size, t)
     # partitions into distinct parts: q(10) = 10, q(50) = 3658
     assert _capped_partition_count(10, [1] * 11) == 10
     assert _capped_partition_count(50, [1] * 51) == 3658
 
 
 def test_pair_grid_counts_at_t_2():
-    """|feasible_partitions(|P|)| * |feasible_partitions(|N|)| by the count alone."""
+    """The number of cap-fitting partitions of |P| times that of |N|, by the count alone."""
     expected = {16: 65, 49: 87626, 64: 1254076, 81: 19470136, 100: 322184814}
     for weight, count in expected.items():
         p_size, n_size = describing_set_sizes(weight)

@@ -22,7 +22,6 @@ from cwmat import (
     ModulusContext,
     Olp,
     OlpPair,
-    Orbit,
     SearchReport,
     SearchSpec,
 )
@@ -35,7 +34,6 @@ ROW_REPR = "CirculantRow(n=3, coeffs=(1, -1, 0))"
 
 RECORDS = [
     (ModulusContext(33, 35), "ModulusContext(n=33, t=2)"),
-    (Orbit((1, 2, 4)), "Orbit(elements=(1, 2, 4))"),
     (Olp((5, 1)), "Olp(parts=(1, 5))"),
     (ExistenceWitness(5, 2, (10,)), "ExistenceWitness(k=5, l=2, lengths=(10,))"),
     (ROW, ROW_REPR),

@@ -56,7 +56,7 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
-from row_reference import normalize_sign, periodic_autocorrelation
+from row_reference import negate, normalize_sign, periodic_autocorrelation
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
@@ -209,7 +209,7 @@ def test_search_confirms_each_hit_by_the_difference_multiset_equation(monkeypatc
 
 
 def test_weight_zero_search_finds_the_zero_row():
-    # |P| = |N| = 0: sign normalization has nothing to flip
+    # |P| = |N| = 0: the one assignment is empty
     report = exhaustive_search(SearchSpec(7, 0, 2, _pair("", "")))
     zero = CirculantRow(7, (0,) * 7)
     assert (report.candidates_tested, report.solutions) == (1, (zero,))
@@ -362,8 +362,8 @@ def _product_assignments(spec: SearchSpec):
                 choices.append((p_sel, n_sel))
         per_length.append(choices)
     for combo in itertools.product(*per_length):
-        P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb.elements)
-        N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb.elements)
+        P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb)
+        N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb)
         yield P, N
 
 
@@ -400,15 +400,15 @@ def test_merged_pair_classes_equal_classify_of_all_solutions(n):
     reports = [exhaustive_search(SearchSpec(n, 16, 2, pair)) for pair in cross_pairs(16, 2)]
     solutions = [row for report in reports for row in report.solutions]
     merged = _search_all_pairs(n, 16)
-    assert merged == classify(solutions)
+    classes = classify(solutions)
+    assert merged == [c.representative for c in classes]
     # no class spans two pairs, which the derived rule relies on
     assert sum(len(report.classes) for report in reports) == len(merged)
-    keys = [c.representative for c in merged]
-    assert keys == sorted(set(keys))
-    for c in merged:
+    assert merged == sorted(set(merged))
+    for c in classes:
         assert list(c.members) == sorted(c.members)
         assert all(canonical_form(m) == c.representative for m in c.members)
-    assert sorted(m.coeffs for c in merged for m in c.members) == sorted(r.coeffs for r in solutions)
+    assert sorted(m.coeffs for c in classes for m in c.members) == sorted(r.coeffs for r in solutions)
 
 
 def test_cross_check_searches_exactly_the_pairs_z_n_hosts(monkeypatch):
@@ -473,12 +473,10 @@ def test_derived_rule_matches_the_search_beyond_weight_16(weight, t, base):
         if gcd(n, t) != 1:
             continue
         reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, gcd(n, m))]
-        classes = _search_all_pairs(n, weight, t)
-        assert len(reps) == len(classes), f"n={n}"
+        found = _search_all_pairs(n, weight, t)
         assert (len(reps) > 0) == (n % base == 0), f"n={n}"
-        assert sorted(canonical_form(r, multiplier=t) for r in reps) == [
-            c.representative for c in classes
-        ], f"n={n}"
+        # the lifts are canonical as they stand: equal rows, not equal forms
+        assert sorted(reps) == found, f"n={n}"
 
 
 @pytest.mark.parametrize(
@@ -493,11 +491,9 @@ def test_derived_rule_matches_the_search_at_t_3_at_every_order(weight, t, orders
         if gcd(n, t) != 1:
             continue
         reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, gcd(n, m))]
-        classes = _search_all_pairs(n, weight, t)
-        assert (len(classes) > 0) == (n % base == 0), f"n={n}"
-        assert sorted(canonical_form(r, multiplier=t) for r in reps) == [
-            c.representative for c in classes
-        ], f"n={n}"
+        found = _search_all_pairs(n, weight, t)
+        assert (len(found) > 0) == (n % base == 0), f"n={n}"
+        assert sorted(reps) == found, f"n={n}"
 
 
 def _classes_up_to_negation(rows) -> dict[CirculantRow, tuple[CirculantRow, ...]]:
@@ -505,7 +501,7 @@ def _classes_up_to_negation(rows) -> dict[CirculantRow, tuple[CirculantRow, ...]
     rows grouped up to sign as well as shift and substitution."""
     groups: dict[CirculantRow, list[CirculantRow]] = {}
     for row in rows:
-        groups.setdefault(min(canonical_form(row), canonical_form(-row)), []).append(row)
+        groups.setdefault(min(canonical_form(row), canonical_form(negate(row))), []).append(row)
     return {rep: tuple(sorted(members)) for rep, members in groups.items()}
 
 
@@ -525,7 +521,7 @@ def test_classes_up_to_negation_are_the_same_classes(weight, t, n):
         negated = _classes_up_to_negation(report.solutions)
         assert sorted(negated.values()) == sorted(rep_of), f"n={n} {pair}"
         for rep, members in negated.items():
-            assert rep == canonical_form(-rep_of[members])
+            assert rep == canonical_form(negate(rep_of[members]))
             assert rep.coeffs.count(-1) > rep.coeffs.count(1)
         classes += len(negated)
     assert classes > 0
@@ -562,8 +558,8 @@ def test_classify_groups_by_equivalence():
 
 def test_classify_up_to_negation():
     # negation is no equivalence: classify keeps a row and its negation apart
-    assert len(classify([W1, -W1])) == 2
-    assert len(_classes_up_to_negation([W1, -W1])) == 1
+    assert len(classify([W1, negate(W1)])) == 2
+    assert len(_classes_up_to_negation([W1, negate(W1)])) == 1
 
 
 def test_base_orders_examples():
@@ -618,6 +614,30 @@ def test_lift_preserves_weight_and_contracts_back(r, m):
     lifted = lift(r, m)
     assert verify_cw(lifted) == verify_cw(r)
     assert CirculantRow(r.n, lifted.coeffs[::m]) == r
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(st.sampled_from((-1, 0, 1)), min_size=n - 1, max_size=n - 1).flatmap(
+            lambda cs: st.permutations([-1] + cs).map(lambda p: CirculantRow(n, p))
+        )
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_lift_of_a_canonical_row_with_a_minus_one_is_canonical(r, m):
+    """What lets the cross-check compare the rule's lifts with the search's
+    forms as rows: a least equivalent of the lift has -1 at index 0, so its
+    support lies on the multiples of m, where it is the lift of a least
+    equivalent of the row."""
+    lifted = lift(canonical_form(r), m)
+    assert canonical_form(lifted) == lifted
+
+
+def test_lift_of_a_canonical_row_without_a_minus_one_need_not_be_canonical():
+    plus = CirculantRow.from_string("+")
+    assert canonical_form(plus) == plus
+    assert lift(plus, 3) == CirculantRow.from_string("+00")
+    assert canonical_form(lift(plus, 3)) == CirculantRow.from_string("00+")
 
 
 def test_class_contractible_examples():
@@ -678,7 +698,7 @@ def test_cross_check_failure_names_both_sides(monkeypatch, wrong):
 
 
 def test_cross_check_failure_names_a_class_the_rule_lacks(monkeypatch):
-    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: (W1,))
+    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: (canonical_form(W1),))
     with pytest.raises(RuntimeError) as exc:
         full_classification(16, 31)
     message = str(exc.value)
@@ -686,6 +706,19 @@ def test_cross_check_failure_names_a_class_the_rule_lacks(monkeypatch):
     missing = canonical_form(W2).to_string()
     assert f"search classes with no rule representative: [{missing}]" in message
     assert message.count("search class representatives") == 1
+
+
+def test_cross_check_refuses_an_equivalent_rule_row_that_is_not_canonical(monkeypatch):
+    """The cross-check compares rows, not their forms: W1 is equivalent to
+    a class found at 31 but is not its canonical form, so it is named."""
+    assert canonical_form(W1) != W1 and canonical_form(W2) == W2
+    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: (W1, W2))
+    with pytest.raises(RuntimeError) as exc:
+        full_classification(16, 31)
+    message = str(exc.value)
+    assert f"rule representatives with no search class: [{W1.to_string()}]" in message
+    missing = canonical_form(W1).to_string()
+    assert f"search classes with no rule representative: [{missing}]" in message
 
 
 @pytest.fixture
