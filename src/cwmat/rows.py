@@ -68,6 +68,11 @@ class CirculantRow(namedtuple("CirculantRow", "n coeffs")):
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
+    @cached_property
+    def _signs(self) -> dict[int, tuple[int, ...]]:
+        """The support indices of each sign, ascending: {1: ..., -1: ...}."""
+        return {sign: tuple(i for i in self.support if self.coeffs[i] == sign) for sign in (1, -1)}
+
 
 class DescribingSets(NamedTuple):
     """Index sets of the +1 entries (P) and the -1 entries (N)."""
@@ -84,11 +89,7 @@ class EquivalenceWitness(NamedTuple):
 
 
 def describing_sets(row: CirculantRow) -> DescribingSets:
-    c = row.coeffs
-    return DescribingSets(
-        P=frozenset(i for i in row.support if c[i] == 1),
-        N=frozenset(i for i in row.support if c[i] == -1),
-    )
+    return DescribingSets(P=frozenset(row._signs[1]), N=frozenset(row._signs[-1]))
 
 
 def from_sets(n: int, P, N) -> CirculantRow:
@@ -189,11 +190,11 @@ def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> Circulant
 def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:
     """All s with x^s * row(x^t) = target, ascending, read off the supports.
 
-    A matching s sends some support index i of row, of the sign target
-    has at its first support index j, onto j: s = j - t*i. Each of these
-    at most k candidates is checked on the k (index, sign) pairs of row,
-    so a unit t costs O(k^2), not O(n). A zero row matches the zero row
-    at every shift.
+    The anchor j is the first index of the target's rarer sign (of the
+    signs it has). A matching s sends some index i of row with that sign
+    onto j: s = j - t*i. Each of these candidates is checked on the k
+    (index, sign) pairs of row, so a unit t costs O(k^2), not O(n). A
+    zero row matches the zero row at every shift.
     """
     n, c, tc = row.n, row.coeffs, target.coeffs
     support = row.support
@@ -201,13 +202,13 @@ def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:
         return []
     if not support:
         return list(range(n))
-    j = target.support[0]
+    j = min(filter(None, target._signs.values()), key=len)[0]
     shifts = []
-    for i in support:
-        if c[i] == tc[j]:
-            s = (j - t * i) % n
-            if all(tc[(t * m + s) % n] == c[m] for m in support):
-                shifts.append(s)
+    last = support[-1]  # tried first, inline: most candidates fail on it
+    for i in row._signs[tc[j]]:
+        s = (j - t * i) % n
+        if tc[(t * last + s) % n] == c[last] and all(tc[(t * m + s) % n] == c[m] for m in support):
+            shifts.append(s)
     shifts.sort()
     return shifts
 

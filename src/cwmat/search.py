@@ -50,6 +50,21 @@ has its support in one coset s + mZ_n; a least one has -1 at index 0,
 so that coset is mZ_n, and rows on mZ_n compare as their contractions.
 Those contractions are the rows equivalent to r, as U(n) maps onto
 U(n/m), so the least is r and the least row equivalent to L is L.
+
+The rule's base searches and the cross-check need only the classes, so
+they test one assignment per unit class, not every assignment. A unit u
+commutes with x -> t*x, so x -> u*x maps a union of t-orbits onto one
+with the same olp pair, and a solution onto an equivalent solution. The
+length of the orbit through x depends on e = gcd(x, n) alone, and U(n)
+is transitive on {x : gcd(x, n) = e}, so the orbits of one length with
+one e form a single unit class; its lead is the orbit through e, whose
+least element is e ({0} for e = n). Pin the P length with the most
+orbits at n: a unit sends an orbit that a solution's P side takes there
+onto its lead, so the P choices at that length that hold a lead keep a
+member of every class. The argument uses units only, never shifts, so
+it holds for any weight, t and n; exhaustive_search still tests every
+assignment, and every tested assignment, in either search, goes through
+the same kernel and equation check.
 """
 from __future__ import annotations
 
@@ -81,8 +96,9 @@ from .rows import (
 )
 
 
-# Most orbit assignments one search may enumerate: about 20 s (15-22 us per candidate, whole
-# searches of (1^1 3^1 6^1, 6^1) at n = 63 and 315, best of 5, 2-core x86, CPython 3.11).
+# Most orbit assignments one search may enumerate: about 10 s (7.4 and 10.1 us per candidate,
+# warm whole searches of (1^1 3^1 6^1, 6^1) at n = 63 and 315, best of 5, 2-core x86-64
+# Xeon, CPython 3.11.7).
 # Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
 # about 2.9e18 (1^10, 1^6 at n = 63).
 MAX_ASSIGNMENTS = 10**6
@@ -147,7 +163,9 @@ class SearchReport(NamedTuple):
     classes: tuple[EquivalenceClass, ...]
 
 
-def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
+def _assignments(
+    spec: SearchSpec, *, one_per_unit_class: bool = False
+) -> Iterator[tuple[int, int, tuple, tuple]]:
     """Every (P, N) choice of distinct orbits matching the olp pair, lazily,
     as (P mask, N mask, P, N): bit x of a mask stands for residue x, and
     P and N list their residues orbit by orbit.
@@ -156,6 +174,11 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
     hosts the pair, each once with its mask. The choices are nested one
     length at a time, the first length outermost, so memory stays bounded
     by the orbit lists whatever the number of assignments.
+
+    one_per_unit_class lists, of the P choices at the P length with the
+    most orbits, only those holding a lead orbit, one whose least element
+    divides n ({0} stands for n); every U(n)-orbit of assignments keeps a
+    member (see the module docstring).
     """
     if spec.assignment_count == 0:
         return
@@ -167,6 +190,12 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
         ell: [(sum(1 << x for x in o), o) for o in orbits_of_length(ctx, ell)]
         for ell in lengths
     }
+    leads = {}
+    if one_per_unit_class and p_mults:
+        pinned = max(p_mults, key=lambda ell: len(available[ell]))
+        leads[pinned] = {
+            i for i, (_, o) in enumerate(available[pinned]) if not o[0] or spec.n % o[0] == 0
+        }
 
     def extend(k: int, pm: int, nm: int, P: tuple, N: tuple) -> Iterator[tuple]:
         if k == len(lengths):
@@ -174,7 +203,10 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
             return
         ell = lengths[k]
         orbs = available[ell]
+        lead = leads.get(ell)
         for p_sel in itertools.combinations(range(len(orbs)), p_mults.get(ell, 0)):
+            if lead is not None and lead.isdisjoint(p_sel):
+                continue
             rest = [i for i in range(len(orbs)) if i not in p_sel]
             more_pm, more_p = pm, P
             for i in p_sel:
@@ -190,19 +222,18 @@ def _assignments(spec: SearchSpec) -> Iterator[tuple[int, int, tuple, tuple]]:
     yield from extend(0, 0, 0, (), ())
 
 
-def exhaustive_search(spec: SearchSpec) -> SearchReport:
-    """Test every orbit assignment; report solutions and their classes.
+def _scan(spec: SearchSpec, *, one_per_unit_class: bool = False) -> tuple[int, dict, dict]:
+    """(assignments tested, hit rows by (P mask, N mask), canonical form by
+    the masks of each unit image of a hit), over _assignments.
 
-    solutions are the distinct hits, ordered by their canonical form
-    (so class by class, in the order of classes), ties in enumeration
-    order. Raises RuntimeError if a hit fails the
-    difference-multiset equation.
+    Every assignment goes through the kernel, and every hit through the
+    difference-multiset equation: RuntimeError if the two disagree.
     """
     n, t = spec.n, spec.t
     tested = 0
     seen: dict[tuple[int, int], CirculantRow] = {}
     canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
-    for pm, nm, P, N in _assignments(spec):
+    for pm, nm, P, N in _assignments(spec, one_per_unit_class=one_per_unit_class):
         tested += 1
         if not _weighing(n, P + N, pm, nm, t):
             continue
@@ -217,9 +248,28 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
             for u in _coset_leaders(n, t):
                 image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
                 canon[image] = rep
+    return tested, seen, canon
+
+
+def exhaustive_search(spec: SearchSpec) -> SearchReport:
+    """Test every orbit assignment; report solutions and their classes.
+
+    solutions are the distinct hits, ordered by their canonical form
+    (so class by class, in the order of classes), ties in enumeration
+    order. Raises RuntimeError if a hit fails the
+    difference-multiset equation.
+    """
+    tested, seen, canon = _scan(spec)
     classes = _group((canon[key], row) for key, row in seen.items())
     solutions = tuple(seen[key] for key in sorted(seen, key=canon.__getitem__))
     return SearchReport(spec, tested, solutions, classes)
+
+
+def _class_representatives(spec: SearchSpec) -> list[CirculantRow]:
+    """The sorted canonical representatives of exhaustive_search(spec).classes,
+    found from one assignment per unit class (see _assignments)."""
+    _, seen, canon = _scan(spec, one_per_unit_class=True)
+    return sorted({canon[key] for key in seen})
 
 
 def classify(rows) -> tuple[EquivalenceClass, ...]:
@@ -325,10 +375,23 @@ def _feasible_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand],
 
 
 @lru_cache(maxsize=None)
+def _host_tests(weight: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], tuple]:
+    """The hosting tests, found once per (weight, t): each distinct
+    (ell, t^ell - 1, need) of the feasible pairs' demands, and each pair,
+    in order, with the bitmask of the tests it must pass."""
+    pairs = _feasible_pair_demands(weight, t)
+    tests = sorted({(ell, need) for _, demand in pairs for ell, need in demand})
+    bit = {test: 1 << k for k, test in enumerate(tests)}
+    return (
+        tuple((ell, t**ell - 1, need) for ell, need in tests),
+        tuple((pair, sum(bit[test] for test in demand)) for pair, demand in pairs),
+    )
+
+
+@lru_cache(maxsize=None)
 def _host_modulus(weight: int, t: int) -> int:
     """M: the lcm of t^ell - 1 over every length the feasible pairs use."""
-    pairs = _feasible_pair_demands(weight, t)
-    return lcm(*(t**ell - 1 for _, demand in pairs for ell, _ in demand))
+    return lcm(*(m for _, m, _ in _host_tests(weight, t)[0]))
 
 
 _orbit_count = lru_cache(maxsize=None)(orbit_count)
@@ -336,21 +399,23 @@ _orbit_count = lru_cache(maxsize=None)(orbit_count)
 
 @lru_cache(maxsize=None)
 def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
-    """The feasible pairs, in order, whose demand Z_g can host, for g dividing M;
-    the count of length-ell orbits, a function of gcd(g, t^ell - 1), is found once per gcd."""
-    pairs = _feasible_pair_demands(weight, t)
-    lengths = {ell for _, demand in pairs for ell, _ in demand}
-    counts = {ell: _orbit_count(gcd(g, t**ell - 1), ell, t) for ell in lengths}
-    return tuple(
-        pair for pair, demand in pairs if all(counts[ell] >= need for ell, need in demand)
+    """The feasible pairs, in order, whose demand Z_g can host, for g dividing M:
+    each hosting test is decided once, and a pair is hosted if it passes all of
+    its own. The count of length-ell orbits, a function of gcd(g, t^ell - 1), is
+    found once per gcd."""
+    tests, masks = _host_tests(weight, t)
+    passed = sum(
+        1 << k
+        for k, (ell, m, need) in enumerate(tests)
+        if _orbit_count(gcd(g, m), ell, t) >= need
     )
+    return tuple(pair for pair, mask in masks if mask & passed == mask)
 
 
 @lru_cache(maxsize=None)
 def _base_representatives(pair: OlpPair, weight: int, t: int, d: int) -> tuple[CirculantRow, ...]:
     """The canonical representatives of the pair's classes at order d, searched once."""
-    classes = exhaustive_search(SearchSpec(d, weight, t, pair)).classes
-    return tuple(c.representative for c in classes)
+    return tuple(_class_representatives(SearchSpec(d, weight, t, pair)))
 
 
 @lru_cache(maxsize=None)
@@ -393,9 +458,7 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> list[CirculantRow]:
     ModulusContext(n, t)  # raises unless n >= 1 and t is a unit mod n; g always is one
     hosted = _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t)))
     return sorted({
-        c.representative
-        for pair in hosted
-        for c in exhaustive_search(SearchSpec(n, weight, t, pair)).classes
+        rep for pair in hosted for rep in _class_representatives(SearchSpec(n, weight, t, pair))
     })
 
 
@@ -414,12 +477,13 @@ def full_classification(
     n, in order, the classes are the lifts of the classes found at the
     lcm of the pair's base orders that divide n; this reproduces the
     paper's count of classes. cross_check (default: on for n <= 105)
-    re-derives the answer by exhaustive search over every olp pair that
-    Z_n can host, merges the per-pair classes by their canonical
-    representative, and requires those representatives to be exactly
-    the sorted rule representatives, which are canonical (see the module
-    docstring). On any mismatch it raises RuntimeError naming the
-    representatives that match nothing on the other side, then both sides.
+    re-derives the answer by searching, one assignment per unit class,
+    every olp pair that Z_n can host, merges the per-pair classes by
+    their canonical representative, and requires those representatives
+    to be exactly the sorted rule representatives, which are canonical
+    (see the module docstring). On any mismatch it raises RuntimeError
+    naming the representatives that match nothing on the other side,
+    then both sides.
     """
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:

@@ -21,7 +21,7 @@ from cwmat import (
     verify_cw,
     verify_sets,
 )
-from cwmat.rows import _weighing
+from cwmat.rows import _shifts, _weighing
 from golden import (
     KNOWN_CW_7_4,
     KNOWN_CW_13_9,
@@ -415,6 +415,37 @@ def _assert_shifts_match_brute_force(r: CirculantRow, moved: CirculantRow) -> No
 def test_shifts_of_orbit_unions_match_brute_force(pair):
     r, w = pair
     _assert_shifts_match_brute_force(r, apply_transform(r, w))
+
+
+def rows_of(n: int):
+    return st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(
+        lambda cs: CirculantRow(n, tuple(cs))
+    )
+
+
+def sparse_rows_of(n: int, max_weight: int = 6):
+    """Rows of order n with at most max_weight nonzero entries."""
+    return st.dictionaries(st.integers(0, n - 1), st.sampled_from((-1, 1)), max_size=max_weight).map(
+        lambda signs: CirculantRow(n, tuple(signs.get(i, 0) for i in range(n)))
+    )
+
+
+@st.composite
+def shift_cases(draw, max_n: int = 40):
+    """(row, unit, target): a dense or sparse row, any unit, and as target
+    an image of the row, the row itself, or any dense or sparse row."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.one_of(rows_of(n), sparse_rows_of(n)))
+    t = draw(st.sampled_from(_units(n)))
+    images = witnesses_for(n).map(lambda w: apply_transform(r, w))
+    return r, t, draw(st.one_of(images, st.just(r), rows_of(n), sparse_rows_of(n)))
+
+
+@given(shift_cases())
+def test_shifts_match_a_scan_over_every_shift(case):
+    r, t, target = case
+    expected = [s for s in range(r.n) if apply_transform(r, EquivalenceWitness(s, t)) == target]
+    assert _shifts(r, t, target) == expected
 
 
 # The weight-16 class representatives at n = 31, 63 and 93.

@@ -37,6 +37,7 @@ from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length
 from cwmat.search import (
     MAX_ASSIGNMENTS,
     _assignments,
+    _class_representatives,
     _host_modulus,
     _hosted_pairs,
     _rule_bases,
@@ -418,9 +419,9 @@ def test_cross_check_searches_exactly_the_pairs_z_n_hosts(monkeypatch):
 
     def record(spec):
         searched.append(spec.pair)
-        return SearchReport(spec, 0, (), ())
+        return []
 
-    monkeypatch.setattr("cwmat.search.exhaustive_search", record)
+    monkeypatch.setattr("cwmat.search._class_representatives", record)
     for n in range(1, 342, 2):
         ctx = ModulusContext(n, 2)
         listed = {ell: len(orbits_of_length(ctx, ell)) for ell in range(1, 11)}
@@ -438,6 +439,66 @@ def test_cross_check_searches_exactly_the_pairs_z_n_hosts(monkeypatch):
         for pair in cross_pairs(16, 2):
             if pair not in hosted:
                 assert real_search(SearchSpec(n, 16, 2, pair)).candidates_tested == 0
+
+
+def _hosted_specs(weight: int, t: int, orders) -> list[SearchSpec]:
+    """A spec for every pair that Z_n hosts, at every order n prime to t."""
+    m = _host_modulus(weight, t)
+    return [
+        SearchSpec(n, weight, t, pair)
+        for n in orders
+        if gcd(n, t) == 1
+        for pair in _hosted_pairs(weight, t, gcd(n, m))
+    ]
+
+
+@pytest.mark.parametrize(
+    "weight,t,orders",
+    [
+        (16, 2, range(1, 700, 2)),
+        (4, 2, range(1, 200, 2)),
+        (4, 3, range(1, 60)),
+        (9, 3, (13, 26, 39, 52, 65, 91, 104)),
+    ],
+)
+def test_one_assignment_per_unit_class_keeps_every_class(weight, t, orders):
+    """The classes-only search lists a subset of the assignments, yet finds
+    the canonical representatives of every class of the full search: at
+    every odd n < 700, the W = 16 base orders 21, 31, 45, 63, 105 and 315
+    among them, at even orders and at t = 3."""
+    specs = _hosted_specs(weight, t, orders)
+    found = 0
+    for spec in specs:
+        expected = [c.representative for c in exhaustive_search(spec).classes]
+        assert _class_representatives(spec) == expected, f"n={spec.n} {spec.pair}"
+        found += len(expected)
+    assert found > 0
+
+
+def test_one_assignment_per_unit_class_tests_fewer_assignments(monkeypatch):
+    tested = []
+
+    def counted(*args):
+        tested.append(args)
+        return _weighing(*args)
+
+    monkeypatch.setattr("cwmat.search._weighing", counted)
+    specs = _hosted_specs(16, 2, [315])
+    assert sum(spec.assignment_count for spec in specs) == 666
+    assert len(_search_all_pairs(315, 16)) == 2
+    assert 0 < len(tested) < 666
+
+
+@pytest.mark.parametrize("weight,t", [(16, 2), (4, 3)])
+def test_hosted_pairs_at_every_divisor_of_m_match_a_direct_filter(weight, t):
+    pairs = feasible_pairs(weight, t)
+    lengths = {ell for pair in pairs for ell, _ in pair.demand}
+    for g in divisors(_host_modulus(weight, t)):
+        counts = {ell: orbit_count(g, ell, t) for ell in lengths}
+        expected = tuple(
+            pair for pair in pairs if all(counts[ell] >= need for ell, need in pair.demand)
+        )
+        assert _hosted_pairs(weight, t, g) == expected, f"g={g}"
 
 
 @pytest.mark.parametrize(
