@@ -8,10 +8,10 @@ permutations); the two sides are ordered. Each assignment is carried as
 two bitmasks, the ORs of one mask per chosen orbit, and checked by the
 autocorrelation kernel of rows (_weighing), with no row built. As t
 fixes P and N, the autocorrelation is constant on each orbit {+-t^j s}
-of lags, so one lag per orbit is tested. Only distinct hits are built
-into rows, and each hit is also checked against the difference-multiset
-equation, an independent formulation, so a disagreement between the two
-fails loudly.
+of lags, so one lag per orbit is tested. A hit is built into a row only
+when it opens a new class, and each hit is also checked against the
+difference-multiset equation, an independent formulation, so a
+disagreement between the two fails loudly.
 
 A pair's demand is the number of orbits of each length it uses, P and
 N sides together. Z_n can host the pair only if, for every length, the
@@ -51,20 +51,22 @@ so that coset is mZ_n, and rows on mZ_n compare as their contractions.
 Those contractions are the rows equivalent to r, as U(n) maps onto
 U(n/m), so the least is r and the least row equivalent to L is L.
 
-The rule's base searches and the cross-check need only the classes, so
-they test one assignment per unit class, not every assignment. A unit u
-commutes with x -> t*x, so x -> u*x maps a union of t-orbits onto one
-with the same olp pair, and a solution onto an equivalent solution. The
-length of the orbit through x depends on e = gcd(x, n) alone, and U(n)
-is transitive on {x : gcd(x, n) = e}, so the orbits of one length with
-one e form a single unit class; its lead is the orbit through e, whose
-least element is e ({0} for e = n). Pin the P length with the most
-orbits at n: a unit sends an orbit that a solution's P side takes there
-onto its lead, so the P choices at that length that hold a lead keep a
-member of every class. The argument uses units only, never shifts, so
-it holds for any weight, t and n; exhaustive_search still tests every
-assignment, and every tested assignment, in either search, goes through
-the same kernel and equation check.
+Every search tests one assignment per unit class, not every
+assignment. A unit u commutes with x -> t*x, so x -> u*x maps a union of
+t-orbits onto one with the same olp pair, and a solution onto an
+equivalent solution. The length of the orbit through x depends on
+e = gcd(x, n) alone, and U(n) is transitive on {x : gcd(x, n) = e}, so
+the orbits of one length with one e form a single unit class; its lead
+is the orbit through e, whose least element is e ({0} for e = n). Pin
+the P length with the most orbits at n: a unit sends an orbit that a
+solution's P side takes there onto its lead, so the P choices at that
+length that hold a lead keep a member of every class. The argument uses
+units only, never shifts, so it holds for any weight, t and n, and it
+covers every assignment: exhaustive_search reports assignment_count as
+tested. Its solutions are derived from the classes: they are the images
+x -> u*x + s of one solution per class that t fixes. Every tested
+assignment goes through the kernel and the equation check; the derived
+solutions, images of checked rows, need neither.
 """
 from __future__ import annotations
 
@@ -96,12 +98,17 @@ from .rows import (
 )
 
 
-# Most orbit assignments one search may enumerate: about 10 s (7.4 and 10.1 us per candidate,
-# warm whole searches of (1^1 3^1 6^1, 6^1) at n = 63 and 315, best of 5, 2-core x86-64
-# Xeon, CPython 3.11.7).
-# Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
+# Most orbit assignments one search may cover: the full count, assignment_count,
+# of which the kernel tests only the share that holds a lead orbit (see the module
+# docstring). Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
 # about 2.9e18 (1^10, 1^6 at n = 63).
 MAX_ASSIGNMENTS = 10**6
+# Most bits of orbit masks one search may hold: one n-bit integer per orbit of
+# each length the pair uses, 128 MiB in all. The weight-16 base searches hold at
+# most 4095 bits (n = 315), the cross-check's at odd n <= 10001 at most 975942
+# (n = 9207); (1^1 20^1, 2^1 4^2 5^1) at n = 2^20 - 1 would hold 52388 masks,
+# about 6.4 GiB.
+MAX_MASK_BITS = 2**30
 
 
 def check_olp_sums(weight: int, sums: tuple[int, int]) -> None:
@@ -113,7 +120,8 @@ def check_olp_sums(weight: int, sums: tuple[int, int]) -> None:
 
 class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
     """Order, weight, multiplier, and orbit length partition pair, with
-    at most MAX_ASSIGNMENTS orbit assignments."""
+    at most MAX_ASSIGNMENTS orbit assignments and MAX_MASK_BITS bits of
+    orbit masks."""
 
     def __new__(cls, n: int, weight: int, t: int, pair: OlpPair):
         if n < 1:
@@ -129,7 +137,19 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
             raise ValueError(
                 f"{count} orbit assignments exceed the search bound of {MAX_ASSIGNMENTS}"
             )
+        # no orbit is listed when Z_n cannot host the pair
+        orbits = sum(self._orbit_counts.values()) if count else 0
+        if orbits * n > MAX_MASK_BITS:
+            raise ValueError(
+                f"{orbits} orbit masks of {n} bits, {orbits * n} bits in all, "
+                f"exceed the search bound of {MAX_MASK_BITS}"
+            )
         return self
+
+    @cached_property
+    def _orbit_counts(self) -> dict[int, int]:
+        """The closed-form count of orbits of each length the pair uses, in Z_n."""
+        return {ell: orbit_count(self.n, ell, self.t) for ell, _ in self.pair.demand}
 
     @cached_property
     def assignment_count(self) -> int:
@@ -140,8 +160,7 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
         p_mults = self.pair.p.multiplicities
         count = 1
         for ell, need in self.pair.demand:
-            c = orbit_count(self.n, ell, self.t)
-            count *= comb(c, need) * comb(need, p_mults.get(ell, 0))
+            count *= comb(self._orbit_counts[ell], need) * comb(need, p_mults.get(ell, 0))
         return count
 
 
@@ -163,78 +182,82 @@ class SearchReport(NamedTuple):
     classes: tuple[EquivalenceClass, ...]
 
 
-def _assignments(
-    spec: SearchSpec, *, one_per_unit_class: bool = False
-) -> Iterator[tuple[int, int, tuple, tuple]]:
-    """Every (P, N) choice of distinct orbits matching the olp pair, lazily,
-    as (P mask, N mask, P, N): bit x of a mask stands for residue x, and
-    P and N list their residues orbit by orbit.
+def _levels(spec: SearchSpec, orbits: dict[int, list[tuple[int, ...]]]) -> tuple:
+    """Per length the pair uses, in demand order: (each orbit with its mask,
+    parts of that length in P, parts in N, the indices of the lead orbits
+    or None). Bit x of a mask stands for residue x.
 
-    Orbits are listed only when the closed-form counts show that Z_n
-    hosts the pair, each once with its mask. The choices are nested one
-    length at a time, the first length outermost, so memory stays bounded
-    by the orbit lists whatever the number of assignments.
-
-    one_per_unit_class lists, of the P choices at the P length with the
-    most orbits, only those holding a lead orbit, one whose least element
-    divides n ({0} stands for n); every U(n)-orbit of assignments keeps a
-    member (see the module docstring).
+    Only the P length with the most orbits has leads, the orbits whose
+    least element divides n ({0} stands for n); every U(n)-orbit of
+    assignments keeps a member that holds one (see the module docstring).
     """
-    if spec.assignment_count == 0:
-        return
-    ctx = ModulusContext(spec.n, spec.t)
     p_mults = spec.pair.p.multiplicities
     n_mults = spec.pair.n.multiplicities
-    lengths = [ell for ell, _ in spec.pair.demand]
-    available = {
-        ell: [(sum(1 << x for x in o), o) for o in orbits_of_length(ctx, ell)]
-        for ell in lengths
-    }
-    leads = {}
-    if one_per_unit_class and p_mults:
-        pinned = max(p_mults, key=lambda ell: len(available[ell]))
-        leads[pinned] = {
-            i for i, (_, o) in enumerate(available[pinned]) if not o[0] or spec.n % o[0] == 0
-        }
-
-    def extend(k: int, pm: int, nm: int, P: tuple, N: tuple) -> Iterator[tuple]:
-        if k == len(lengths):
-            yield pm, nm, P, N
-            return
-        ell = lengths[k]
-        orbs = available[ell]
-        lead = leads.get(ell)
-        for p_sel in itertools.combinations(range(len(orbs)), p_mults.get(ell, 0)):
-            if lead is not None and lead.isdisjoint(p_sel):
-                continue
-            rest = [i for i in range(len(orbs)) if i not in p_sel]
-            more_pm, more_p = pm, P
-            for i in p_sel:
-                more_pm |= orbs[i][0]
-                more_p += orbs[i][1]
-            for n_sel in itertools.combinations(rest, n_mults.get(ell, 0)):
-                more_nm, more_n = nm, N
-                for i in n_sel:
-                    more_nm |= orbs[i][0]
-                    more_n += orbs[i][1]
-                yield from extend(k + 1, more_pm, more_nm, more_p, more_n)
-
-    yield from extend(0, 0, 0, (), ())
+    pinned = max(p_mults, key=lambda ell: len(orbits[ell]), default=None)
+    return tuple(
+        (
+            [(sum(1 << x for x in o), o) for o in orbs],
+            p_mults.get(ell, 0),
+            n_mults.get(ell, 0),
+            {i for i, o in enumerate(orbs) if not o[0] or spec.n % o[0] == 0}
+            if ell == pinned
+            else None,
+        )
+        for ell, orbs in orbits.items()
+    )
 
 
-def _scan(spec: SearchSpec, *, one_per_unit_class: bool = False) -> tuple[int, dict, dict]:
-    """(assignments tested, hit rows by (P mask, N mask), canonical form by
-    the masks of each unit image of a hit), over _assignments.
+def _assignments(
+    levels: tuple, pm: int = 0, nm: int = 0, P: tuple = (), N: tuple = ()
+) -> Iterator[tuple[int, int, tuple, tuple]]:
+    """Every (P, N) choice of distinct orbits that the levels (see _levels)
+    allow, lazily, as (P mask, N mask, P, N), each extending the given one:
+    P and N list their residues orbit by orbit.
 
-    Every assignment goes through the kernel, and every hit through the
-    difference-multiset equation: RuntimeError if the two disagree.
+    The choices are nested one length at a time, the first length
+    outermost, so memory stays bounded by the orbit lists whatever the
+    number of assignments. At a length with leads, a P choice that holds
+    none is skipped.
+    """
+    if not levels:
+        yield pm, nm, P, N
+        return
+    (orbs, p, q, lead), rest = levels[0], levels[1:]
+    for p_sel in itertools.combinations(range(len(orbs)), p):
+        if lead is not None and lead.isdisjoint(p_sel):
+            continue
+        others = [i for i in range(len(orbs)) if i not in p_sel]
+        more_pm, more_p = pm, P
+        for i in p_sel:
+            more_pm |= orbs[i][0]
+            more_p += orbs[i][1]
+        for n_sel in itertools.combinations(others, q):
+            more_nm, more_n = nm, N
+            for i in n_sel:
+                more_nm |= orbs[i][0]
+                more_n += orbs[i][1]
+            yield from _assignments(rest, more_pm, more_nm, more_p, more_n)
+
+
+def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], dict[int, list[tuple[int, ...]]]]:
+    """(the first hit (P, N) of each class by its canonical representative,
+    the orbits of each length the pair uses as orbits_of_length lists
+    them), from one assignment per unit class (see _levels).
+
+    Orbits are listed only when the closed-form counts show that Z_n
+    hosts the pair. Every tested assignment goes through the kernel, and
+    every hit through the difference-multiset equation: RuntimeError if
+    the two disagree. A hit is built into a row and canonicalized only
+    if no earlier hit's unit images hold it.
     """
     n, t = spec.n, spec.t
-    tested = 0
-    seen: dict[tuple[int, int], CirculantRow] = {}
+    if spec.assignment_count == 0:
+        return {}, {}
+    ctx = ModulusContext(n, t)
+    orbits = {ell: orbits_of_length(ctx, ell) for ell, _ in spec.pair.demand}
     canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
-    for pm, nm, P, N in _assignments(spec, one_per_unit_class=one_per_unit_class):
-        tested += 1
+    first: dict[CirculantRow, tuple] = {}
+    for pm, nm, P, N in _assignments(_levels(spec, orbits)):
         if not _weighing(n, P + N, pm, nm, t):
             continue
         if not cw_equation_holds(P, N, n):
@@ -242,34 +265,83 @@ def _scan(spec: SearchSpec, *, one_per_unit_class: bool = False) -> tuple[int, d
                 f"autocorrelation and the difference-multiset equation disagree "
                 f"at n={n} on {from_sets(n, P, N).to_string()}"
             )
-        row = seen[pm, nm] = from_sets(n, P, N)  # distinct assignments, distinct hits
         if (pm, nm) not in canon:
-            rep = canonical_form(row, multiplier=t)
+            rep = canonical_form(from_sets(n, P, N), multiplier=t)
+            first.setdefault(rep, (P, N))
             for u in _coset_leaders(n, t):
                 image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
                 canon[image] = rep
-    return tested, seen, canon
-
-
-def exhaustive_search(spec: SearchSpec) -> SearchReport:
-    """Test every orbit assignment; report solutions and their classes.
-
-    solutions are the distinct hits, ordered by their canonical form
-    (so class by class, in the order of classes), ties in enumeration
-    order. Raises RuntimeError if a hit fails the
-    difference-multiset equation.
-    """
-    tested, seen, canon = _scan(spec)
-    classes = _group((canon[key], row) for key, row in seen.items())
-    solutions = tuple(seen[key] for key in sorted(seen, key=canon.__getitem__))
-    return SearchReport(spec, tested, solutions, classes)
+    return first, orbits
 
 
 def _class_representatives(spec: SearchSpec) -> list[CirculantRow]:
-    """The sorted canonical representatives of exhaustive_search(spec).classes,
-    found from one assignment per unit class (see _assignments)."""
-    _, seen, canon = _scan(spec, one_per_unit_class=True)
-    return sorted({canon[key] for key in seen})
+    """The sorted canonical representatives of the pair's classes at spec.n."""
+    return sorted(_scan(spec)[0])
+
+
+def exhaustive_search(spec: SearchSpec) -> SearchReport:
+    """Every solution of the pair at spec.n and their classes, derived from
+    one assignment per unit class (see _scan).
+
+    candidates_tested is assignment_count: the unit argument covers every
+    assignment (see the module docstring). A class's solutions are the
+    images x -> u*x + s of its first hit that t fixes (see _images).
+    solutions lists them class by class, in the order of classes, each
+    class's in the order of the assignments: per length, the indices of
+    the P orbits, then of the N orbits. Raises RuntimeError if a hit fails
+    the difference-multiset equation.
+    """
+    first, orbits = _scan(spec)
+    # residue -> (position of its orbit's length in the demand, the orbit's index)
+    place = {
+        x: (k, i) for k, orbs in enumerate(orbits.values()) for i, o in enumerate(orbs) for x in o
+    }
+    classes = []
+    for rep in sorted(first):
+        images = sorted(_images(spec, *first[rep]), key=lambda im: _key(im, place, len(orbits)))
+        classes.append((rep, [from_sets(spec.n, P, N) for P, N in images]))
+    return SearchReport(
+        spec,
+        spec.assignment_count,
+        tuple(row for _, rows in classes for row in rows),
+        tuple(EquivalenceClass(rep, tuple(sorted(rows))) for rep, rows in classes),
+    )
+
+
+def _images(spec: SearchSpec, P, N) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """The images x -> u*x + s that t fixes of a solution (P, N) that t
+    fixes, as (P, N).
+
+    A unit u commutes with x -> t*x, so t fixes u*(P, N); it fixes
+    u*(P, N) + s when (t - 1)*s = 0 (mod n), and only then, as a weighing
+    row of positive weight has no period (its autocorrelation there would
+    be its weight). x -> u*x + s then carries t-orbits onto t-orbits of
+    the same length, so each image is a union of t-orbits with the pair's
+    olp. u*t gives the images of u, so one unit per coset of <t> is
+    scanned, and units with equal images u*(P, N) are shifted once.
+    """
+    n, t = spec.n, spec.t
+    step = n // gcd(t - 1, n)
+    scaled = {
+        (frozenset(u * x % n for x in P), frozenset(u * x % n for x in N))
+        for u in _coset_leaders(n, t)
+    }
+    return {
+        (frozenset((x + s) % n for x in uP), frozenset((x + s) % n for x in uN))
+        for uP, uN in scaled
+        for s in range(0, n, step)
+    }
+
+
+def _key(image: tuple, place: dict[int, tuple[int, int]], lengths: int) -> tuple:
+    """The place of a union of orbits (P, N) in the order of the
+    assignments: per length, the indices of its P orbits, then of its N
+    orbits. place maps a residue to (the position of its orbit's length
+    in the demand, the orbit's index)."""
+    taken = [sorted({place[x] for x in side}) for side in image]
+    return tuple(
+        tuple(tuple(i for j, i in side if j == k) for side in taken) for k in range(lengths)
+    )
 
 
 def classify(rows) -> tuple[EquivalenceClass, ...]:

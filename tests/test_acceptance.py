@@ -57,10 +57,19 @@ from golden import (
 from kronecker_oracle import conjugate_to_circulant, crt_product, weighing_weight
 from orbit_lister import orbit_lengths, t_orbits
 from row_reference import normalize_sign
+import search_oracle
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
 W0_21 = from_sets(21, W0_21_P, W0_21_N)
+
+
+def _oracle_matches(report) -> bool:
+    """Whether the library's report is the oracle's full enumeration of
+    the same spec, order included."""
+    spec = report.spec
+    oracle = search_oracle.search(spec.n, spec.t, spec.pair.p.parts, spec.pair.n.parts)
+    return search_oracle.report_of(report) == oracle
 
 
 class _budget:
@@ -137,9 +146,11 @@ def test_criterion_04_counting_prune():
 
 
 def test_criterion_05_search_at_31():
-    """60 candidates, 12 solutions, exactly the two known classes."""
+    """60 candidates, 12 solutions, exactly the two known classes, as the
+    oracle's full enumeration finds them."""
     with _budget(10.0):
         report = exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
+        assert _oracle_matches(report)
         assert report.candidates_tested == 60
         assert len(report.solutions) == 12
         assert len(report.classes) == 2
@@ -158,6 +169,7 @@ def test_criterion_06_search_at_63():
     the unique order-21 class."""
     with _budget(30.0):
         report = exhaustive_search(_spec(63, "1^1 3^1 6^1", "6^1"))
+        assert _oracle_matches(report)
         assert report.candidates_tested == 144
         assert len(report.solutions) == 8
         assert len(report.classes) == 2
@@ -182,9 +194,11 @@ def test_criterion_06_search_at_63():
 
 
 def test_criterion_07_search_at_315():
-    """The remaining candidate order admits no solution at all."""
+    """The remaining candidate order admits no solution at all: none of the
+    oracle's 54 assignments is a weighing row."""
     with _budget(120.0):
         report = exhaustive_search(_spec(315, "4^1 6^1", "2^1 4^1"))
+        assert _oracle_matches(report)
         assert report.candidates_tested == 54
         assert report.solutions == ()
         assert report.classes == ()
@@ -192,8 +206,9 @@ def test_criterion_07_search_at_315():
 
 def test_criterion_08_classification_matches_exhaustive_search():
     """Rule-based classification equals a from-scratch search over every
-    feasible olp pair, for every odd order up to 105; beyond that the
-    divisor counting rule alone gives 651 -> 3 and 1953 -> 4."""
+    feasible olp pair, for every odd order up to 105: the oracle's full
+    enumeration, which the library's search must also reproduce; beyond
+    that the divisor counting rule alone gives 651 -> 3 and 1953 -> 4."""
     with _budget(300.0):
         for n in range(1, 106, 2):
             res = full_classification(16, n)
@@ -202,7 +217,9 @@ def test_criterion_08_classification_matches_exhaustive_search():
             assert res.cross_checked
             rows = []
             for pair in cross_pairs(16):
-                rows.extend(exhaustive_search(SearchSpec(n, 16, 2, pair)).solutions)
+                report = exhaustive_search(SearchSpec(n, 16, 2, pair))
+                assert _oracle_matches(report), f"n={n} {pair}"
+                rows.extend(report.solutions)
             independent = classify(rows)
             assert len(independent) == res.count, f"n={n}"
             for rep in res.classes:

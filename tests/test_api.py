@@ -79,7 +79,8 @@ def test_import_cwmat_loads_no_heavy_module():
 
 
 @pytest.mark.parametrize(
-    "name", ["golden.py", "orbit_lister.py", "row_reference.py", "kronecker_oracle.py"]
+    "name",
+    ["golden.py", "orbit_lister.py", "row_reference.py", "kronecker_oracle.py", "search_oracle.py"],
 )
 def test_reference_modules_import_nothing_from_cwmat(name):
     """The references the library is checked against stay independent of it."""

@@ -214,6 +214,14 @@ PARENT_SEARCH_JSON_SHA256 = {
         "650ade14e22943a775ec0122efcc2716d463403656eb48ce405c903f79c2f1c0",
     ("classify", "16", "--max-n", "341", "--format", "json"):
         "d2555851ead59514190eb0420a4615824a56c80cd64965d14756e8e6b4572bdd",
+    # at commit b103cb3, the parent of deriving the search's solutions
+    # from one assignment per unit class
+    ("search", "31", "16", "5^2", "1^1 5^1", "--format", "json"):
+        "faf0f70169d1deef31cdd23a9cdbf0f0b5dcc442e7cc782a08d792dea7b08f38",
+    ("search", "13", "9", "3^2", "3^1", "--multiplier", "3", "--format", "json"):
+        "48d659d0f8074089f571bb9cedf6a2ba0d96e0217bfbf07eb61177b534d5caae",
+    ("search", "26", "9", "3^2", "3^1", "--multiplier", "3", "--format", "json"):
+        "ffe65bf8367b1d76287751447d2b49d6030b339e534ffb13de5146a9b45851f9",
 }
 
 

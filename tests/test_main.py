@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,31 @@ def test_stdout_closed_by_its_reader_is_an_error_without_traceback(tmp_path, fmt
     assert stderr == "error: cannot write standard output: broken pipe\n"
     # --out is written before stdout, so it is complete
     assert len(json.loads(out.read_text())["pairs"]) == 3840
+
+
+def test_search_refuses_oversized_orbit_masks_under_an_address_space_cap():
+    """(1^1 20^1, 2^1 4^2 5^1) at n = 2^20 - 1 has 942786 assignments, under
+    the assignment bound, but would hold 52388 masks of 2^20 - 1 bits,
+    about 6.4 GiB. Under a 1.5 GB address-space cap (ulimit -v 1500000) it
+    is refused with exit 2 and the figure, not a MemoryError."""
+    cap = 1_500_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwmat", "search", "1048575", "36", "1^1 20^1", "2^1 4^2 5^1"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: 52388 orbit masks of 1048575 bits, 54932747100 bits in all, "
+        "exceed the search bound of 1073741824\n"
+    )
+    assert proc.stdout == ""

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import itertools
+import gc
 import tracemalloc
 from collections import Counter
 from math import comb, gcd
@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 from cwmat import (
     CirculantRow,
     EquivalenceClass,
+    EquivalenceWitness,
     Olp,
     OlpPair,
     SearchReport,
     SearchSpec,
+    apply_transform,
     are_equivalent,
     base_orders,
     canonical_form,
     class_contractible,
     classify,
     cross_pairs,
+    describing_sets,
     exhaustive_search,
     feasible_pairs,
     from_sets,
@@ -32,14 +35,16 @@ from cwmat import (
     prune,
     verify_cw,
 )
-from cwmat.rows import _weighing
-from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length
+from cwmat.rows import _shifts, _weighing
+from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
 from cwmat.search import (
     MAX_ASSIGNMENTS,
+    MAX_MASK_BITS,
     _assignments,
     _class_representatives,
     _host_modulus,
     _hosted_pairs,
+    _levels,
     _rule_bases,
     _rule_pairs,
     _search_all_pairs,
@@ -57,7 +62,9 @@ from golden import (
     W2_31_N,
     W2_31_P,
 )
+from orbit_lister import orbit_lengths
 from row_reference import negate, normalize_sign, periodic_autocorrelation
+import search_oracle
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
 W2 = from_sets(31, W2_31_P, W2_31_N)
@@ -79,6 +86,17 @@ def _mask(indices) -> int:
 
 def _bits(mask: int, n: int) -> list[int]:
     return [x for x in range(n) if mask >> x & 1]
+
+
+def _oracle(spec: SearchSpec) -> search_oracle.OracleReport:
+    return search_oracle.search(spec.n, spec.t, spec.pair.p.parts, spec.pair.n.parts)
+
+
+def _filtered(spec: SearchSpec):
+    """The library's assignments of the spec: one per unit class."""
+    ctx = ModulusContext(spec.n, spec.t)
+    orbits = {ell: orbits_of_length(ctx, ell) for ell, _ in spec.pair.demand}
+    return _assignments(_levels(spec, orbits))
 
 
 def test_search_spec_validates():
@@ -110,6 +128,28 @@ def test_search_spec_bounds_the_assignment_count():
         SearchSpec(63, 4, 64, _pair("1^3", "1^1"))
 
 
+def test_search_spec_bounds_the_orbit_masks():
+    """942786 assignments, under MAX_ASSIGNMENTS, but one mask of 2^20 - 1
+    bits per orbit of lengths 1, 2, 4, 5 and 20: about 6.4 GiB, refused
+    before any orbit is listed."""
+    n = 2**20 - 1
+    pair = _pair("1^1 20^1", "2^1 4^2 5^1")
+    counts = {ell: orbit_count(n, ell) for ell, _ in pair.demand}
+    assert comb(counts[20], 1) * comb(counts[4], 2) * counts[5] * counts[2] == 942786
+    orbits = sum(counts.values())
+    assert orbits == 52388
+    with pytest.raises(
+        ValueError,
+        match=f"^{orbits} orbit masks of {n} bits, {orbits * n} bits in all, "
+        f"exceed the search bound of {MAX_MASK_BITS}$",
+    ):
+        SearchSpec(n, 36, 2, pair)
+    # a pair that Z_n cannot host lists no orbit, so it holds no mask
+    unhosted = SearchSpec(n, 36, 2, _pair("1^1 20^1", "3^1 12^1"))
+    assert unhosted.assignment_count == 0
+    assert exhaustive_search(unhosted).candidates_tested == 0
+
+
 def test_assignment_count_is_computed_once(monkeypatch):
     calls = []
 
@@ -119,7 +159,7 @@ def test_assignment_count_is_computed_once(monkeypatch):
 
     monkeypatch.setattr("cwmat.search.orbit_count", counting)
     spec = _spec(63, "1^1 3^1 6^1", "6^1")
-    assert sum(1 for _ in _assignments(spec)) == spec.assignment_count
+    assert exhaustive_search(spec).candidates_tested == spec.assignment_count
     assert sorted(calls) == [1, 3, 6]
 
 
@@ -195,12 +235,15 @@ def test_search_builds_rows_only_for_hits(monkeypatch):
     built = []
 
     def record(n, P, N):
-        built.append((P, N))
-        return from_sets(n, P, N)
+        built.append(from_sets(n, P, N))
+        return built[-1]
 
     monkeypatch.setattr("cwmat.search.from_sets", record)
     report = exhaustive_search(_spec(63, "1^1 3^1 6^1", "6^1"))
-    assert report.candidates_tested > len(built) == len(report.solutions) > 0
+    # the scan builds the first hit of each class, the derivation each solution
+    assert len(built) == len(report.classes) + len(report.solutions)
+    assert set(built) == set(report.solutions)
+    assert report.candidates_tested > len(built) > 0
 
 
 def test_search_confirms_each_hit_by_the_difference_multiset_equation(monkeypatch):
@@ -238,7 +281,7 @@ def test_search_infeasible_order_returns_empty():
 def test_search_solutions_sorted_by_canonical_form(n, p, np_):
     spec = _spec(n, p, np_)
     distinct = {}
-    for _, _, P, N in _assignments(spec):
+    for P, N in search_oracle.assignments(n, 2, spec.pair.p.parts, spec.pair.n.parts):
         row = from_sets(n, P, N)
         if verify_cw(row) == 16:
             row = normalize_sign(row)
@@ -251,7 +294,7 @@ def _per_row_report(spec: SearchSpec) -> SearchReport:
     """The search with every distinct hit canonicalized, classes keyed
     and members sorted as rows: the path before per-class reuse."""
     tested, distinct = 0, {}
-    for _, _, P, N in _assignments(spec):
+    for P, N in search_oracle.assignments(spec.n, spec.t, spec.pair.p.parts, spec.pair.n.parts):
         tested += 1
         row = from_sets(spec.n, P, N)
         if verify_cw(row) == spec.weight:
@@ -304,7 +347,9 @@ def test_search_canonicalizes_once_per_class(monkeypatch, spec):
 )
 def test_search_verdicts_match_every_lag(monkeypatch, n, weight, t, pairs):
     """Every candidate the search tests (each cross pair, or the listed
-    ones) gets the verdict of the autocorrelation at all n - 1 lags."""
+    ones) gets the verdict of the autocorrelation at all n - 1 lags. The
+    kernel sees one assignment per unit class, so at most every
+    assignment and at most every solution."""
     verdicts = []
 
     def recorded(n_, support, pm, nm, t_):
@@ -318,8 +363,8 @@ def test_search_verdicts_match_every_lag(monkeypatch, n, weight, t, pairs):
         report = exhaustive_search(SearchSpec(n, weight, t, pair))
         tested += report.candidates_tested
         hits += len(report.solutions)
-    assert len(verdicts) == tested > 0
-    assert sum(v for _, _, v in verdicts) == hits > 0
+    assert 0 < len(verdicts) <= tested
+    assert 0 < sum(v for _, _, v in verdicts) <= hits
     for pm, nm, verdict in verdicts:
         row = from_sets(n, _bits(pm, n), _bits(nm, n))
         expected = all(periodic_autocorrelation(row, s) == 0 for s in range(1, n))
@@ -347,36 +392,30 @@ def test_a_search_without_hits_canonicalizes_nothing(monkeypatch):
 def test_candidates_tested_counts_every_assignment(n, p, np_):
     spec = _spec(n, p, np_)
     tested = exhaustive_search(spec).candidates_tested
-    assert tested == sum(1 for _ in _assignments(spec)) == spec.assignment_count
+    assert tested == _oracle(spec).candidates_tested == spec.assignment_count
 
 
-def _product_assignments(spec: SearchSpec):
-    """The assignments as one itertools.product over per-length choice lists."""
-    ctx = ModulusContext(spec.n, spec.t)
-    per_length = []
-    for ell, _ in spec.pair.demand:
-        orbs = orbits_of_length(ctx, ell)
-        choices = []
-        for p_sel in itertools.combinations(orbs, spec.pair.p.multiplicities.get(ell, 0)):
-            rest = [o for o in orbs if o not in p_sel]
-            for n_sel in itertools.combinations(rest, spec.pair.n.multiplicities.get(ell, 0)):
-                choices.append((p_sel, n_sel))
-        per_length.append(choices)
-    for combo in itertools.product(*per_length):
-        P = frozenset(x for p_sel, _ in combo for orb in p_sel for x in orb)
-        N = frozenset(x for _, n_sel in combo for orb in n_sel for x in orb)
-        yield P, N
+def _lead_filtered_oracle_assignments(spec: SearchSpec):
+    """The oracle's assignments whose P side, at the P length with the most
+    orbits, takes an orbit whose least element is 0 or divides n."""
+    lengths = orbit_lengths(spec.n, spec.t)
+    p_mults = spec.pair.p.multiplicities
+    pinned = max(p_mults, key=lambda ell: lengths.count(ell) // ell, default=None)
+    for P, N in search_oracle.assignments(spec.n, spec.t, spec.pair.p.parts, spec.pair.n.parts):
+        if pinned is None or any(lengths[x] == pinned and (x == 0 or spec.n % x == 0) for x in P):
+            yield tuple(P), tuple(N)
 
 
 @pytest.mark.parametrize(
     "n,p,np_", [(n, p, np_) for (p, np_), orders in BASE_ORDER_CASES for n in orders]
 )
 def test_assignments_follow_the_product_order(n, p, np_):
+    """The library lists the oracle's full product, in its order, less the
+    assignments whose P side holds no lead orbit at the pinned length."""
     spec = _spec(n, p, np_)
-    listed = list(_assignments(spec))
-    assert [(frozenset(P), frozenset(N)) for _, _, P, N in listed] == list(
-        _product_assignments(spec)
-    )
+    listed = list(_filtered(spec))
+    assert [(P, N) for _, _, P, N in listed] == list(_lead_filtered_oracle_assignments(spec))
+    assert 0 < len(listed) < spec.assignment_count
     for pm, nm, P, N in listed:
         assert (pm, nm) == (_mask(P), _mask(N))
         assert len(P) == len(set(P)) and len(N) == len(set(N))
@@ -388,7 +427,7 @@ def test_assignments_are_lazy_across_lengths():
     assert spec.assignment_count == 405080
     tracemalloc.start()
     try:
-        first = next(_assignments(spec))
+        first = next(_filtered(spec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -462,17 +501,88 @@ def _hosted_specs(weight: int, t: int, orders) -> list[SearchSpec]:
     ],
 )
 def test_one_assignment_per_unit_class_keeps_every_class(weight, t, orders):
-    """The classes-only search lists a subset of the assignments, yet finds
-    the canonical representatives of every class of the full search: at
-    every odd n < 700, the W = 16 base orders 21, 31, 45, 63, 105 and 315
-    among them, at even orders and at t = 3."""
+    """The search lists a subset of the assignments, yet finds the canonical
+    representatives of every class of the oracle's full enumeration, and
+    derives its candidates_tested, solutions and classes, order included:
+    at every odd n < 700, the W = 16 base orders 21, 31, 45, 63, 105 and
+    315 among them, at even orders and at t = 3."""
     specs = _hosted_specs(weight, t, orders)
     found = 0
     for spec in specs:
-        expected = [c.representative for c in exhaustive_search(spec).classes]
+        oracle = _oracle(spec)
+        expected = [CirculantRow(spec.n, rep) for rep, _ in oracle.classes]
         assert _class_representatives(spec) == expected, f"n={spec.n} {spec.pair}"
-        found += len(expected)
+        assert search_oracle.report_of(exhaustive_search(spec)) == oracle, f"n={spec.n} {spec.pair}"
+        found += len(oracle.solutions)
     assert found > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(31, 1, 32, _pair("1^1", "")),
+        SearchSpec(7, 4, 8, _pair("1^3", "1^1")),
+        SearchSpec(8, 4, 9, _pair("1^3", "1^1")),
+    ],
+)
+def test_search_at_t_one_mod_n_matches_the_oracle(spec):
+    """t = 1 (mod n) fixes every residue, so each unit image of a solution
+    has n shifts that t fixes, and many units give one image."""
+    oracle = _oracle(spec)
+    assert search_oracle.report_of(exhaustive_search(spec)) == oracle
+    assert len(oracle.solutions) > len(oracle.classes) > 0
+
+
+def _t_fixed_images(rep: CirculantRow, spec: SearchSpec) -> int:
+    """The number of (u, s), u a unit and s a shift, for which u*rep + s is
+    fixed by t and has the pair's olp. t*(u*rep) + b = u*rep for the shifts
+    b that _shifts finds, so u*rep + s is fixed by t exactly when
+    (t - 1)*s is one of them; every s is tried."""
+    n, t = spec.n, spec.t
+    lengths = orbit_lengths(n, t)
+    olp = [Counter({ell: ell * m for ell, m in side.multiplicities.items()}) for side in spec.pair]
+    count = 0
+    for u in units(n):
+        image = apply_transform(rep, EquivalenceWitness(0, u))
+        fixing = set(_shifts(image, t, image))
+        sets = describing_sets(image)
+        for s in range(n):
+            if (t - 1) * s % n in fixing:
+                count += [
+                    Counter(lengths[(x + s) % n] for x in side) for side in sets
+                ] == olp
+    return count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_spec(n, p, np_) for (p, np_), orders in BASE_ORDER_CASES for n in orders]
+    + [SearchSpec(26, 9, 3, _pair("3^2", "3^1"))],
+)
+def test_orbit_stabilizer_counts_each_class_as_the_oracle_does(spec):
+    """Counted a second way, a class has (number of (u, s) whose image of its
+    representative is a solution) / (number of (u, s) that fix it)
+    solutions, the oracle's count, at every W = 16 base order and at
+    (9, 3), n = 26, where gcd(t - 1, n) = 2."""
+    oracle = _oracle(spec)
+    reps = _class_representatives(spec)
+    assert reps == [CirculantRow(spec.n, rep) for rep, _ in oracle.classes]
+    for rep, (_, members) in zip(reps, oracle.classes):
+        stabilizer = sum(len(_shifts(rep, u, rep)) for u in units(spec.n))
+        assert _t_fixed_images(rep, spec) == len(members) * stabilizer
+
+
+def test_a_search_leaves_no_garbage_for_the_collector():
+    """The assignment generator holds no reference cycle, so with the cyclic
+    collector off a search leaves nothing that only gc.collect() frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        report = exhaustive_search(_spec(63, "1^1 3^1 6^1", "6^1"))
+        assert len(report.classes) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_one_assignment_per_unit_class_tests_fewer_assignments(monkeypatch):
@@ -601,9 +711,10 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
 
     monkeypatch.setattr("cwmat.search.orbits_of_length", refuse)
     # 35 has no orbits of length 5 under doubling
-    assert list(_assignments(_spec(35, "5^2", "1^1 5^1"))) == []
+    report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
+    assert (report.candidates_tested, report.solutions) == (0, ())
     with pytest.raises(AssertionError, match="listed orbits"):
-        next(_assignments(_spec(31, "5^2", "1^1 5^1")))
+        exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
 
 
 def test_classify_groups_by_equivalence():
