@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Four subcommands mirror the library pipeline: verify a single row,
+Five subcommands mirror the library pipeline: verify a single row,
 prune orbit-length-partition pairs for a weight, search one pair at one
-order, and classify all odd orders up to a bound. Text output is for
+order, print the rule of a weight (the search at every base order of
+every pair that survives pruning, and the class-count terms they give),
+and classify all odd orders up to a bound. Text output is for
 reading; --format json (or --out FILE) emits a stable payload whose row
 objects always carry the same fields in the same order: n, weight, row,
 P, N, olpP, olpN.
@@ -21,6 +23,8 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
+from math import lcm
 
 from .multisets import cw_equation_holds
 from .orbits import ModulusContext, units
@@ -35,7 +39,9 @@ from .pruning import (
 )
 from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
 from .search import (
+    SearchReport,
     SearchSpec,
+    _rule_pairs,
     check_classified_weight,
     check_olp_sums,
     exhaustive_search,
@@ -216,19 +222,11 @@ def cmd_prune(args) -> int:
     return _emit(args, payload, lines)
 
 
-def cmd_search(args) -> int:
-    texts = (args.olpP, args.olpN)
-    try:
-        # the sums from the tokens first: a part list is as long as its sum
-        sums = tuple(sum(ell * m for ell, m in olp_tokens(text)) for text in texts)
-        check_olp_sums(args.weight, sums)
-        pair = OlpPair(*map(Olp.from_string, texts))
-        spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    report = exhaustive_search(spec)
+def _search_output(report: SearchReport) -> tuple[dict, list[str]]:
+    """The payload and text lines of one search report."""
+    spec = report.spec
+    pair = spec.pair
     ctx = ModulusContext(spec.n, spec.t)
-
     payload = {
         "n": spec.n,
         "weight": spec.weight,
@@ -257,6 +255,74 @@ def cmd_search(args) -> int:
     lines.append(f"classes: {len(report.classes)}")
     for i, c in enumerate(report.classes, 1):
         lines.append(f"  {i}. size {c.size}  representative {c.representative.to_string()}")
+    return payload, lines
+
+
+def cmd_search(args) -> int:
+    texts = (args.olpP, args.olpN)
+    try:
+        # the sums from the tokens first: a part list is as long as its sum
+        sums = tuple(sum(ell * m for ell, m in olp_tokens(text)) for text in texts)
+        check_olp_sums(args.weight, sums)
+        pair = OlpPair(*map(Olp.from_string, texts))
+        spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    payload, lines = _search_output(exhaustive_search(spec))
+    return _emit(args, payload, lines)
+
+
+def cmd_rule(args) -> int:
+    """The searches behind full_classification's rule, and its terms c_b.
+
+    Per surviving pair, the classes at n are those at the lcm of its base
+    orders dividing n, itself a base order: a base order is the lcm of
+    one divisor of t^ell - 1 per length ell that hosts enough orbits of
+    that length, and if d | d', Z_d is a t-invariant subgroup of Z_d', so
+    d' hosts them too. So with c_b = classes(b) minus the c_b' of the
+    pair's base orders b' properly dividing b, the classes at n number
+    the sum of c_b over the b dividing n, summed over the pairs.
+    """
+    t = 2  # the multiplier premise of full_classification
+    try:  # every spec before any search, so a refused weight prints nothing else
+        specs = [
+            (pair, orders, [SearchSpec(b, args.weight, t, pair) for b in orders])
+            for pair, orders in _rule_pairs(args.weight, t)
+        ]
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    for _, orders, _ in specs:
+        if {lcm(a, b) for a in orders for b in orders} - set(orders):
+            raise RuntimeError(f"base orders {list(orders)} are not closed under lcm")
+
+    terms: Counter[int] = Counter()
+    pairs, lines = [], [f"weight {args.weight}, t={t}"]
+    for pair, orders, pair_specs in specs:
+        lines.append(f"pair {pair}, base orders {' '.join(map(str, orders))}")
+        searches = []
+        pair_terms: dict[int, int] = {}  # base orders ascend, so divisors come first
+        for spec in pair_specs:
+            report = exhaustive_search(spec)
+            b = spec.n
+            pair_terms[b] = len(report.classes) - sum(c for d, c in pair_terms.items() if b % d == 0)
+            payload, search_lines = _search_output(report)
+            searches.append(payload)
+            lines.extend(search_lines)
+        terms.update(pair_terms)
+        pairs.append(
+            {"olpP": _olp_json(pair.p), "olpN": _olp_json(pair.n), "baseOrders": list(orders),
+             "searches": searches}
+        )
+
+    nonzero = sorted((b, c) for b, c in terms.items() if c)
+    rule = " + ".join(f"[{b}|n]" if c == 1 else f"{c}*[{b}|n]" for b, c in nonzero)
+    lines.append(f"classes with multiplier {t} at odd n: {rule or 0}")
+    payload = {
+        "weight": args.weight,
+        "t": t,
+        "pairs": pairs,
+        "terms": [[b, c] for b, c in nonzero],
+    }
     return _emit(args, payload, lines)
 
 
@@ -332,6 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplier", type=int, default=2)
     _output_flags(p)
     p.set_defaults(func=cmd_search)
+
+    p = sub.add_parser("rule", help="the base searches and the class-count rule for a weight")
+    p.add_argument("weight", type=int)
+    _output_flags(p)
+    p.set_defaults(func=cmd_rule)
 
     p = sub.add_parser("classify", help="class counts for all odd orders up to a bound")
     p.add_argument("weight", type=int)

@@ -65,6 +65,13 @@ from typing import NamedTuple
 from .orbits import ModulusContext, divisors, orbit_count_cap, orbit_of
 
 
+# Most parts Olp.from_string expands. Parts take distinct orbits of Z_n, so
+# n >= parts and a search holds at least parts^2 bits of orbit masks: a pair
+# with more parts on a side is refused by search.MAX_MASK_BITS = MAX_OLP_PARTS^2,
+# or no Z_n hosts it, and the pair grid refuses sides of over 100.
+MAX_OLP_PARTS = 2**15
+
+
 class Olp(namedtuple("Olp", "parts")):
     """Orbit length partition: a multiset of positive part lengths."""
 
@@ -79,9 +86,14 @@ class Olp(namedtuple("Olp", "parts")):
 
     @classmethod
     def from_string(cls, text: str) -> "Olp":
-        """Parse space-separated 'length^multiplicity' tokens, e.g. '1^1 5^1'."""
+        """Parse space-separated 'length^multiplicity' tokens, e.g. '1^1 5^1';
+        more than MAX_OLP_PARTS parts are refused before any is listed."""
+        tokens = olp_tokens(text)
+        count = sum(mult for _, mult in tokens)
+        if count > MAX_OLP_PARTS:
+            raise ValueError(f"{count} olp parts exceed the bound of {MAX_OLP_PARTS}")
         parts: list[int] = []
-        for length, mult in olp_tokens(text):
+        for length, mult in tokens:
             parts.extend([length] * mult)
         return cls(parts)
 

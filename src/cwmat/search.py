@@ -78,7 +78,7 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .multisets import cw_equation_holds
-from .orbits import ModulusContext, hosting_divisors, orbit_count, orbits_of_length, units
+from .orbits import ModulusContext, hosting_divisors, orbit_count, orbits_of_length
 from .pruning import (
     Demand, OlpPair, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
 )
@@ -397,18 +397,6 @@ def lift(row: CirculantRow, m: int) -> CirculantRow:
     for i, c in enumerate(row.coeffs):
         coeffs[i * m] = c
     return CirculantRow(row.n * m, tuple(coeffs))
-
-
-def class_contractible(row: CirculantRow, d: int) -> bool:
-    """Whether some equivalent row has all support indices divisible by d.
-
-    The image support is {u*i + s}; a suitable s exists exactly when all
-    u*i agree mod d, so only units u are scanned.
-    """
-    if d < 1 or row.n % d != 0:
-        raise ValueError(f"d must divide the order, got d={d}, n={row.n}")
-    support = row.support
-    return any(len({(u * i) % d for i in support}) <= 1 for u in units(row.n))
 
 
 class ClassificationResult(NamedTuple):

@@ -198,8 +198,14 @@ BASE_SEARCH_COUNTS = {
     31: (60, 12, 2),
     63: (144, 8, 2),
     21: (4, 2, 1),
+    45: (6, 0, 0),
+    105: (12, 0, 0),
     315: (54, 0, 0),
 }
+
+# The classes of CW(n, 16) at odd n number the sum of c_b over the b
+# dividing n: 2*[31|n] + [63|n] + [21|n], as {b: c_b}.
+RULE_TERMS = {21: 1, 31: 2, 63: 1}
 
 # Odd n <= 105 with a nonzero number of CW(n, 16) classes.
 CLASS_COUNTS_UPTO_105 = {21: 1, 31: 2, 63: 2, 93: 2, 105: 1}

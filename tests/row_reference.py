@@ -1,11 +1,14 @@
 """Test-only row references: the autocorrelation by its definition,
-negation and the sign choice of a square-weight row.
+negation, the sign choice of a square-weight row, and whether a row's
+class holds a row on a subgroup.
 
 They use no library code beyond the row record, so tests can check the
 library's weighing kernel and the search's sign normalization against
 them.
 """
 from __future__ import annotations
+
+from math import gcd
 
 
 def periodic_autocorrelation(row, lag: int) -> int:
@@ -26,3 +29,16 @@ def normalize_sign(row):
     if pos == neg:
         raise ValueError(f"row has |P| = |N| = {pos}")
     return row if pos > neg else negate(row)
+
+
+def class_contractible(row, d: int) -> bool:
+    """Whether some row equivalent to row has every support index divisible by d.
+
+    The images of the support are {u*i + s}; a suitable s exists exactly
+    when all u*i agree mod d, so only the units u are scanned.
+    """
+    n = row.n
+    if d < 1 or n % d != 0:
+        raise ValueError(f"d must divide the order, got d={d}, n={n}")
+    support = [i for i, c in enumerate(row.coeffs) if c]
+    return any(len({u * i % d for i in support}) <= 1 for u in range(n) if gcd(u, n) == 1)

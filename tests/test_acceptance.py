@@ -19,7 +19,6 @@ from cwmat import (
     apply_transform,
     are_equivalent,
     canonical_form,
-    class_contractible,
     classify,
     cross_pairs,
     cw_equation_holds,
@@ -56,7 +55,7 @@ from golden import (
 )
 from kronecker_oracle import conjugate_to_circulant, crt_product, weighing_weight
 from orbit_lister import orbit_lengths, t_orbits
-from row_reference import normalize_sign
+from row_reference import class_contractible, normalize_sign
 import search_oracle
 
 W1 = from_sets(31, W1_31_P, W1_31_N)

@@ -12,6 +12,8 @@ import pytest
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
+    Olp,
+    OlpPair,
     apply_transform,
     from_sets,
     full_classification,
@@ -20,8 +22,11 @@ from cwmat import (
 )
 from cwmat.cli import main
 from golden import (
+    BASE_ORDER_CASES,
+    BASE_SEARCH_COUNTS,
     KNOWN_CW_7_4,
     KNOWN_CW_31_16,
+    RULE_TERMS,
     W1_31_N,
     W1_31_P,
     W1_63_N,
@@ -358,6 +363,73 @@ def test_search_refuses_olp_sums_before_listing_any_part(capsys):
     assert err == "error: olp sums must be (10, 6) for weight 16, got (1000000, 6)\n"
     assert out == ""
     assert peak < 2**20
+
+
+def _rule_payload(capsys, weight: str = "16") -> dict:
+    code, out, err = run(capsys, "rule", weight, "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def _olp_text(olp: list[list[int]]) -> str:
+    return " ".join(f"{length}^{mult}" for length, mult in olp)
+
+
+def test_rule_searches_every_base_order_of_every_surviving_pair(capsys):
+    """Each search is what `cwmat search` prints for it."""
+    pairs = _rule_payload(capsys)["pairs"]
+    olps = [(_olp_text(p["olpP"]), _olp_text(p["olpN"])) for p in pairs]
+    assert dict(zip(olps, (tuple(p["baseOrders"]) for p in pairs))) == dict(BASE_ORDER_CASES)
+    searches = [(olp, s) for olp, p in zip(olps, pairs) for s in p["searches"]]
+    assert [s["n"] for _, s in searches] == [45, 105, 315, 31, 21, 63]
+    for olp, s in searches:
+        counts = s["candidatesTested"], len(s["solutions"]), len(s["classes"])
+        assert counts == BASE_SEARCH_COUNTS[s["n"]]
+        code, out, _ = run(capsys, "search", str(s["n"]), "16", *olp, "--format", "json")
+        assert (code, json.loads(out)) == (0, s)
+
+
+def test_rule_terms_count_the_classes_at_every_odd_order(capsys):
+    terms = _rule_payload(capsys)["terms"]
+    assert terms == [[b, c] for b, c in sorted(RULE_TERMS.items())]
+    for n in range(1, 2002, 2):
+        expected = full_classification(16, n).count
+        assert sum(c for b, c in terms if n % b == 0) == expected, n
+
+
+def test_rule_text_ends_with_the_rule_and_out_writes_the_payload(capsys, tmp_path):
+    path = tmp_path / "rule.json"
+    code, out, _ = run(capsys, "rule", "16", "--out", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "classes with multiplier 2 at odd n: [21|n] + 2*[31|n] + [63|n]"
+    assert json.loads(path.read_text()) == _rule_payload(capsys)
+
+
+def test_rule_of_weight_4(capsys):
+    assert _rule_payload(capsys, "4")["terms"] == [[7, 1]]
+
+
+@pytest.mark.parametrize(
+    "weight,message",
+    [
+        ("25", "orbit lengths above 10 are outside the implemented analysis"),
+        ("81", "weight 81: 19470136 olp pairs exceed the pair-grid bound of 2000000"),
+        ("15", "weight 15 is not a perfect square; odd-order circulant weighing matrices "
+               "only exist for square weights"),
+    ],
+    ids=["25", "81", "15"],
+)
+def test_rule_refuses_a_weight_it_cannot_handle(capsys, weight, message):
+    """Every spec is built before any search: one error line and exit 2."""
+    assert run(capsys, "rule", weight) == (2, "", f"error: {message}\n")
+
+
+def test_rule_requires_base_orders_closed_under_lcm(capsys, monkeypatch):
+    """The terms are exact only if the lcm of two base orders is one."""
+    pair = OlpPair(Olp.from_string("1^1 3^1 6^1"), Olp.from_string("6^1"))
+    monkeypatch.setattr("cwmat.cli._rule_pairs", lambda weight, t: ((pair, (21, 31)),))
+    with pytest.raises(RuntimeError, match="not closed under lcm"):
+        run(capsys, "rule", "16")
 
 
 def test_classify_orders(capsys):

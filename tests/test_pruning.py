@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import time
@@ -35,6 +36,7 @@ from cwmat import (
 )
 from cwmat.pruning import (
     MAX_CROSS_PAIRS,
+    MAX_OLP_PARTS,
     _bounds,
     _capped_partition_count,
     _capped_partitions,
@@ -47,6 +49,7 @@ from cwmat.pruning import (
     _side_bounds,
     _width,
 )
+from cwmat.search import MAX_MASK_BITS
 from golden import (
     COUNTING_SURVIVOR_INDICES,
     EXISTENCE_SURVIVOR_INDICES,
@@ -112,6 +115,32 @@ def test_olp_parse_and_format():
     for bad in ("0^1", "2^", "x", "-3", "1^-1"):
         with pytest.raises(ValueError, match="bad olp token|parts must be positive"):
             Olp.from_string(bad)
+
+
+def test_olp_from_string_refuses_more_parts_than_its_bound():
+    """A side with p parts holds at least p^2 bits of orbit masks, so the
+    part bound is the square root of the search's mask bound."""
+    assert MAX_OLP_PARTS**2 == MAX_MASK_BITS
+    assert len(Olp.from_string(f"1^{MAX_OLP_PARTS}").parts) == MAX_OLP_PARTS
+    with pytest.raises(ValueError, match=f"^32769 olp parts exceed the bound of {MAX_OLP_PARTS}$"):
+        Olp.from_string(f"1^{MAX_OLP_PARTS - 1} 3^2")
+
+
+def test_olp_from_string_refuses_before_expanding_under_an_address_space_cap():
+    """'1^100000000' stands for 10^8 parts, more than 500 MB can hold: under
+    that cap (ulimit -v 500000) it is refused at once, not a MemoryError."""
+    cap = 500_000 * 1024
+    code = "from cwmat import Olp\ntry: Olp.from_string('1^100000000')\nexcept ValueError as e: print(e)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"100000000 olp parts exceed the bound of {MAX_OLP_PARTS}\n"
 
 
 def test_olp_takes_numpy_integer_parts():

@@ -21,7 +21,6 @@ from cwmat import (
     are_equivalent,
     base_orders,
     canonical_form,
-    class_contractible,
     classify,
     cross_pairs,
     describing_sets,
@@ -63,7 +62,7 @@ from golden import (
     W2_31_P,
 )
 from orbit_lister import orbit_lengths
-from row_reference import negate, normalize_sign, periodic_autocorrelation
+from row_reference import class_contractible, negate, normalize_sign, periodic_autocorrelation
 import search_oracle
 
 W1 = from_sets(31, W1_31_P, W1_31_N)
@@ -375,7 +374,7 @@ def test_a_search_without_hits_canonicalizes_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a search without hits must not canonicalize")
 
-    for name in ("canonical_form", "_coset_leaders", "units"):
+    for name in ("canonical_form", "_coset_leaders"):
         monkeypatch.setattr(f"cwmat.search.{name}", refuse)
     monkeypatch.setattr("cwmat.rows.units", refuse)
     hosted = _hosted_pairs(16, 2, gcd(45, _host_modulus(16, 2)))
