@@ -13,15 +13,14 @@ cross-check.
 """
 from __future__ import annotations
 
-from collections import Counter
-
 from .rows import _checked_sets
 
 
 def cw_equation_holds(P, N, n: int) -> bool:
     """Whether the within-side differences of P and N equal the cross
-    differences +-(p - q), one Counter per side; sets checked as in verify_sets."""
+    differences +-(p - q) as multisets, compared as two sorted lists; sets
+    checked as in verify_sets."""
     P, N = _checked_sets(n, P, N)
-    within = Counter((x - y) % n for X in (P, N) for x in X for y in X if x != y)
-    cross = Counter((d * (p - q)) % n for p in P for q in N for d in (1, -1))
+    within = sorted([(x - y) % n for X in (P, N) for x in X for y in X if x != y])
+    cross = sorted([(p - q) % n for p in P for q in N] + [(q - p) % n for p in P for q in N])
     return within == cross

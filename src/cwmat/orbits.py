@@ -79,37 +79,76 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
     """All orbits of length exactly i, sorted.
 
     Candidates are the multiples of n/gcd(n, t^i - 1) (orbit length
-    divides i); the ones with a properly dividing length are dropped.
+    divides i), a t-invariant subgroup. Walked upward, it meets each orbit
+    first at its least element, so the cycle from there is the orbit as
+    orbit_of lists it, and the orbits come sorted; the ones with a
+    properly dividing length are dropped.
     """
     if i < 1:
         raise ValueError(f"orbit length must be positive, got {i}")
-    g = gcd(ctx.n, (pow(ctx.t, i, ctx.n) - 1) % ctx.n)
-    step = ctx.n // g
+    n, t = ctx
     out = []
     seen: set[int] = set()
-    for a in range(0, ctx.n, step):
+    for a in range(0, n, n // gcd(n, pow(t, i, n) - 1)):
         if a in seen:
             continue
-        orb = orbit_of(a, ctx)
-        seen.update(orb)
-        if len(orb) == i:
-            out.append(orb)
-    out.sort()
+        cycle = [a]
+        x = a * t % n
+        while x != a:
+            cycle.append(x)
+            x = x * t % n
+        seen.update(cycle)
+        if len(cycle) == i:
+            out.append(tuple(cycle))
     return out
 
 
-def _mobius(m: int) -> int:
-    """The Moebius function mu(m) for m >= 1, by trial division."""
-    sign = 1
-    p = 2
-    while p * p <= m:
+# orbits_of_length once per (Z_g, ell); read only. Weight 16 at t = 2 lists at
+# most 39 of them: a divisor g of 2^ell - 1 for each ell <= 10.
+_orbits_at = lru_cache(maxsize=64)(orbits_of_length)
+
+
+# Bounded: it holds n-bit masks. The pairs hosted at one odd order n <= 10001
+# use at most seven lengths at weight 16, so one order's tables stay in it.
+@lru_cache(maxsize=8)
+def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(the orbits of length ell in Z_n as orbits_of_length lists them, and
+    their masks, bit x for residue x), once per (n, t, ell); read only.
+
+    With g = gcd(n, t^ell - 1), x -> (n/g)*x maps Z_g onto the residues of
+    Z_n whose orbit length divides ell and commutes with x -> t*x, so the
+    orbits of length ell in Z_n are n/g times those in Z_g, in the same
+    order, each still listed from its least element.
+    """
+    g = gcd(n, pow(t, ell, n) - 1)
+    orbits = _orbits_at(ModulusContext(g, t), ell)
+    if g < n:
+        m = n // g
+        orbits = [tuple([m * x for x in o]) for o in orbits]
+    masks = []
+    for o in orbits:
+        mask = 0
+        for x in o:
+            mask |= 1 << x
+        masks.append(mask)
+    return orbits, masks
+
+
+@lru_cache(maxsize=None)
+def _mobius_terms(ell: int) -> tuple[tuple[int, int], ...]:
+    """(e, mu(ell/e)) for each divisor e of ell with mu(ell/e) != 0, by e,
+    once per ell: ell/e runs over the squarefree divisors of ell, and mu is
+    -1 to the number of their prime factors, found by trial division."""
+    terms, m, p = [(ell, 1)], ell, 2
+    while m > 1:
+        if p * p > m:
+            p = m
         if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
+            terms += [(e // p, -mu) for e, mu in terms]
+            while m % p == 0:
+                m //= p
         p += 1
-    return -sign if m > 1 else sign
+    return tuple(sorted(terms))
 
 
 def orbit_count(n: int, ell: int, t: int = 2) -> int:
@@ -121,11 +160,17 @@ def orbit_count(n: int, ell: int, t: int = 2) -> int:
     """
     if ell < 1:
         raise ValueError(f"orbit length must be positive, got {ell}")
-    ctx = ModulusContext(n, t)
-    elements = sum(
-        _mobius(ell // e) * gcd(ctx.n, pow(ctx.t, e, ctx.n) - 1) for e in divisors(ell)
-    )
-    return elements // ell
+    n, t = ModulusContext(n, t)
+    return sum(mu * gcd(n, pow(t, e, n) - 1) for e, mu in _mobius_terms(ell)) // ell
+
+
+_gcd_orbit_count = lru_cache(maxsize=None)(orbit_count)
+
+
+def _orbit_count(n: int, ell: int, t: int) -> int:
+    """orbit_count(n, ell, t), read off g = gcd(n, t^ell - 1), the only part
+    of n it depends on (see orbit_count_cap); found once per g."""
+    return _gcd_orbit_count(gcd(n, pow(t, ell, n) - 1), ell, t)
 
 
 @lru_cache(maxsize=None)

@@ -473,7 +473,7 @@ def _cross_witness(k: int, l: int, t: int) -> tuple[int, ExistenceWitness]:
     """The candidate lengths of a cross (k, l) as a bitmask over their
     fields, and the witness they give when none is possible within a side."""
     cand = tuple(sorted(diff_length_candidates(k, l, t)))
-    return _mask(map(_field, cand)), ExistenceWitness(k, l, cand)
+    return _mask(map(_field, cand)), _record(ExistenceWitness, (k, l, cand))
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,15 @@ such a pair loses no solution. The count of length-ell orbits depends on
 n only through gcd(n, t^e - 1) for e | ell, and every such t^e - 1
 divides M, the lcm of t^ell - 1 over the lengths the feasible pairs use; so
 the cross-check decides hosting once per g = gcd(n, M), not once per n.
+The orbits themselves depend on n the same way: with g = gcd(n, t^ell - 1),
+x -> (n/g)*x maps Z_g one to one onto the residues of Z_n whose orbit
+length divides ell (those with (t^ell - 1)*x = 0) and commutes with
+x -> t*x, so Z_n and Z_g have the same orbits of length ell, up to the
+factor n/g, which keeps their order. A count is thus found once per
+(g, ell), an orbit list is listed once per (g, ell) and scaled to each n,
+and the orbit masks are built once per (n, ell), shared by the pairs
+searched at n. An order at which no pair is hosted and the rule predicts
+no class builds no search at all.
 
 base_orders computes, per part length with multiplicity, which moduli
 can host enough orbits of that length; the lcms of one choice per length
@@ -64,7 +73,8 @@ length that hold a lead keep a member of every class. The argument uses
 units only, never shifts, so it holds for any weight, t and n, and it
 covers every assignment: exhaustive_search reports assignment_count as
 tested. Its solutions are derived from the classes: they are the images
-x -> u*x + s of one solution per class that t fixes. Every tested
+x -> u*x + s of one solution per class that t fixes, the first hit, whose
+row the scan built and the derivation reuses. Every tested
 assignment goes through the kernel and the equation check; the derived
 solutions, images of checked rows, need neither.
 """
@@ -72,20 +82,23 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from functools import cached_property, lru_cache
+from collections.abc import Iterator
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .multisets import cw_equation_holds
-from .orbits import ModulusContext, hosting_divisors, orbit_count, orbits_of_length
-from .pruning import (
-    Demand, OlpPair, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
+# orbits_of_length, cross_pairs, apply_transform, verify_cw and are_equivalent
+# are not called here but stay bound: the benchmark's tracer
+# (perfbench/tracer.py) wraps them in this module, and
+# tests/test_trace_bindings.py requires them. The candidate test, _weighing,
+# is not a traced layer: its time is the search's.
+from .orbits import (
+    ModulusContext, _orbit_count, _orbit_table, hosting_divisors, orbits_of_length,
 )
-# cross_pairs, apply_transform, verify_cw and are_equivalent are not called
-# here but stay bound: the benchmark's tracer (perfbench/tracer.py) wraps
-# them in this module, and tests/test_trace_bindings.py requires them. The
-# candidate test, _weighing, is not a traced layer: its time is the search's.
+from .pruning import (
+    OlpPair, _record, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
+)
 from .rows import (
     CirculantRow,
     _coset_leaders,
@@ -123,6 +136,8 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
     at most MAX_ASSIGNMENTS orbit assignments and MAX_MASK_BITS bits of
     orbit masks."""
 
+    __slots__ = ()
+
     def __new__(cls, n: int, weight: int, t: int, pair: OlpPair):
         if n < 1:
             raise ValueError(f"order must be positive, got {n}")
@@ -138,7 +153,7 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
                 f"{count} orbit assignments exceed the search bound of {MAX_ASSIGNMENTS}"
             )
         # no orbit is listed when Z_n cannot host the pair
-        orbits = sum(self._orbit_counts.values()) if count else 0
+        orbits = sum(_orbit_count(n, ell, t) for ell, _, _ in _pair_lengths(pair)) if count else 0
         if orbits * n > MAX_MASK_BITS:
             raise ValueError(
                 f"{orbits} orbit masks of {n} bits, {orbits * n} bits in all, "
@@ -146,22 +161,25 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
             )
         return self
 
-    @cached_property
-    def _orbit_counts(self) -> dict[int, int]:
-        """The closed-form count of orbits of each length the pair uses, in Z_n."""
-        return {ell: orbit_count(self.n, ell, self.t) for ell, _ in self.pair.demand}
-
-    @cached_property
+    @property
     def assignment_count(self) -> int:
         """Number of (P, N) orbit assignments: the product over lengths ell
         of C(c, p) * C(c - p, q) = C(c, p + q) * C(p + q, p), with c orbits
         of length ell in Z_n and p, q parts of that length in P and N.
         It is 0 exactly when Z_n cannot host the pair."""
-        p_mults = self.pair.p.multiplicities
+        n, _, t, pair = self
         count = 1
-        for ell, need in self.pair.demand:
-            count *= comb(self._orbit_counts[ell], need) * comb(need, p_mults.get(ell, 0))
+        for ell, p, q in _pair_lengths(pair):
+            count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
         return count
+
+
+@lru_cache(maxsize=None)
+def _pair_lengths(pair: OlpPair) -> tuple[tuple[int, int, int], ...]:
+    """(length, parts of that length in P, parts in N) for each length the
+    pair uses, ascending: its demand, split by side, once per pair."""
+    p, n = pair.p.parts, pair.n.parts
+    return tuple([(ell, p.count(ell), n.count(ell)) for ell in sorted(set(p + n))])
 
 
 class EquivalenceClass(NamedTuple):
@@ -182,33 +200,26 @@ class SearchReport(NamedTuple):
     classes: tuple[EquivalenceClass, ...]
 
 
-def _levels(spec: SearchSpec, orbits: dict[int, list[tuple[int, ...]]]) -> tuple:
-    """Per length the pair uses, in demand order: (each orbit with its mask,
-    parts of that length in P, parts in N, the indices of the lead orbits
-    or None). Bit x of a mask stands for residue x.
+def _levels(spec: SearchSpec) -> list:
+    """Per length the pair uses, ascending: [the orbits of that length, their
+    masks, parts of that length in P, parts in N, the indices of the lead
+    orbits or None].
 
     Only the P length with the most orbits has leads, the orbits whose
     least element divides n ({0} stands for n); every U(n)-orbit of
     assignments keeps a member that holds one (see the module docstring).
     """
-    p_mults = spec.pair.p.multiplicities
-    n_mults = spec.pair.n.multiplicities
-    pinned = max(p_mults, key=lambda ell: len(orbits[ell]), default=None)
-    return tuple(
-        (
-            [(sum(1 << x for x in o), o) for o in orbs],
-            p_mults.get(ell, 0),
-            n_mults.get(ell, 0),
-            {i for i, o in enumerate(orbs) if not o[0] or spec.n % o[0] == 0}
-            if ell == pinned
-            else None,
-        )
-        for ell, orbs in orbits.items()
-    )
+    n, _, t, pair = spec
+    levels = [[*_orbit_table(n, t, ell), p, q, None] for ell, p, q in _pair_lengths(pair)]
+    # P holds parts whenever the pair uses a length, so a P length is pinned
+    pinned = max(levels, key=lambda level: (level[2] > 0, len(level[0])), default=None)
+    if pinned:
+        pinned[4] = {i for i, o in enumerate(pinned[0]) if not o[0] or n % o[0] == 0}
+    return levels
 
 
 def _assignments(
-    levels: tuple, pm: int = 0, nm: int = 0, P: tuple = (), N: tuple = ()
+    levels: list, pm: int = 0, nm: int = 0, P: tuple = (), N: tuple = ()
 ) -> Iterator[tuple[int, int, tuple, tuple]]:
     """Every (P, N) choice of distinct orbits that the levels (see _levels)
     allow, lazily, as (P mask, N mask, P, N), each extending the given one:
@@ -222,27 +233,28 @@ def _assignments(
     if not levels:
         yield pm, nm, P, N
         return
-    (orbs, p, q, lead), rest = levels[0], levels[1:]
-    for p_sel in itertools.combinations(range(len(orbs)), p):
+    (orbits, masks, p, q, lead), rest = levels[0], levels[1:]
+    for p_sel in itertools.combinations(range(len(orbits)), p):
         if lead is not None and lead.isdisjoint(p_sel):
             continue
-        others = [i for i in range(len(orbs)) if i not in p_sel]
+        others = [i for i in range(len(orbits)) if i not in p_sel]
         more_pm, more_p = pm, P
         for i in p_sel:
-            more_pm |= orbs[i][0]
-            more_p += orbs[i][1]
+            more_pm |= masks[i]
+            more_p += orbits[i]
         for n_sel in itertools.combinations(others, q):
             more_nm, more_n = nm, N
             for i in n_sel:
-                more_nm |= orbs[i][0]
-                more_n += orbs[i][1]
+                more_nm |= masks[i]
+                more_n += orbits[i]
             yield from _assignments(rest, more_pm, more_nm, more_p, more_n)
 
 
-def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], dict[int, list[tuple[int, ...]]]]:
-    """(the first hit (P, N) of each class by its canonical representative,
-    the orbits of each length the pair uses as orbits_of_length lists
-    them), from one assignment per unit class (see _levels).
+def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], list[list[tuple[int, ...]]]]:
+    """(the first hit (P, N, its row) of each class by its canonical
+    representative, the orbits of each length the pair uses, ascending,
+    as orbits_of_length lists them), from one assignment per unit class
+    (see _levels).
 
     Orbits are listed only when the closed-form counts show that Z_n
     hosts the pair. Every tested assignment goes through the kernel, and
@@ -252,12 +264,11 @@ def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], dict[int, list[t
     """
     n, t = spec.n, spec.t
     if spec.assignment_count == 0:
-        return {}, {}
-    ctx = ModulusContext(n, t)
-    orbits = {ell: orbits_of_length(ctx, ell) for ell, _ in spec.pair.demand}
+        return {}, []
+    levels = _levels(spec)
     canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
     first: dict[CirculantRow, tuple] = {}
-    for pm, nm, P, N in _assignments(_levels(spec, orbits)):
+    for pm, nm, P, N in _assignments(levels):
         if not _weighing(n, P + N, pm, nm, t):
             continue
         if not cw_equation_holds(P, N, n):
@@ -266,12 +277,13 @@ def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], dict[int, list[t
                 f"at n={n} on {from_sets(n, P, N).to_string()}"
             )
         if (pm, nm) not in canon:
-            rep = canonical_form(from_sets(n, P, N), multiplier=t)
-            first.setdefault(rep, (P, N))
+            row = from_sets(n, P, N)
+            rep = canonical_form(row, multiplier=t)
+            first.setdefault(rep, (P, N, row))
             for u in _coset_leaders(n, t):
                 image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
                 canon[image] = rep
-    return first, orbits
+    return first, [level[0] for level in levels]
 
 
 def _class_representatives(spec: SearchSpec) -> list[CirculantRow]:
@@ -293,13 +305,13 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     """
     first, orbits = _scan(spec)
     # residue -> (position of its orbit's length in the demand, the orbit's index)
-    place = {
-        x: (k, i) for k, orbs in enumerate(orbits.values()) for i, o in enumerate(orbs) for x in o
-    }
+    place = {x: (k, i) for k, orbs in enumerate(orbits) for i, o in enumerate(orbs) for x in o}
     classes = []
     for rep in sorted(first):
-        images = sorted(_images(spec, *first[rep]), key=lambda im: _key(im, place, len(orbits)))
-        classes.append((rep, [from_sets(spec.n, P, N) for P, N in images]))
+        P, N, row = first[rep]
+        hit = frozenset(P), frozenset(N)  # the image u = 1, s = 0: the scan built its row
+        images = sorted(_images(spec, P, N), key=lambda im: _key(im, place, len(orbits)))
+        classes.append((rep, [row if im == hit else from_sets(spec.n, *im) for im in images]))
     return SearchReport(
         spec,
         spec.assignment_count,
@@ -353,18 +365,10 @@ def classify(rows) -> tuple[EquivalenceClass, ...]:
     orders = {row.n for row in rows}
     if len(orders) > 1:
         raise ValueError(f"rows have mixed orders {sorted(orders)}")
-    return _group((canonical_form(row), row) for row in rows)
-
-
-def _group(pairs: Iterable[tuple[CirculantRow, CirculantRow]]) -> tuple[EquivalenceClass, ...]:
-    """Classes from (canonical representative, row) pairs.
-
-    Equal representatives mean one class; members and classes are
-    sorted as rows, which within one order is by coefficients (-1 < 0 < +1).
-    """
     groups: dict[CirculantRow, list[CirculantRow]] = {}
-    for rep, row in pairs:
-        groups.setdefault(rep, []).append(row)
+    for row in rows:
+        groups.setdefault(canonical_form(row), []).append(row)
+    # members and classes sorted as rows: within one order, by coefficients
     return tuple(EquivalenceClass(rep, tuple(sorted(groups[rep]))) for rep in sorted(groups))
 
 
@@ -429,32 +433,21 @@ def _cross_check_error(n: int, reps, found) -> RuntimeError:
 
 
 @lru_cache(maxsize=None)
-def _feasible_pair_demands(weight: int, t: int) -> tuple[tuple[OlpPair, Demand], ...]:
-    """Every feasible pair with its demand; no Z_n hosts any other cross pair."""
-    return tuple((pair, pair.demand) for pair in feasible_pairs(weight, t))
-
-
-@lru_cache(maxsize=None)
-def _host_tests(weight: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], tuple]:
+def _host_tests(weight: int, t: int) -> tuple[list[tuple[int, int]], tuple]:
     """The hosting tests, found once per (weight, t): each distinct
-    (ell, t^ell - 1, need) of the feasible pairs' demands, and each pair,
-    in order, with the bitmask of the tests it must pass."""
-    pairs = _feasible_pair_demands(weight, t)
-    tests = sorted({(ell, need) for _, demand in pairs for ell, need in demand})
+    (ell, need) of the feasible pairs' demands, and each feasible pair, in
+    order, with the bitmask of the tests it must pass. No Z_n hosts any
+    other cross pair."""
+    demands = {pair: pair.demand for pair in feasible_pairs(weight, t)}
+    tests = sorted({test for demand in demands.values() for test in demand})
     bit = {test: 1 << k for k, test in enumerate(tests)}
-    return (
-        tuple((ell, t**ell - 1, need) for ell, need in tests),
-        tuple((pair, sum(bit[test] for test in demand)) for pair, demand in pairs),
-    )
+    return tests, tuple((pair, sum(bit[test] for test in demand)) for pair, demand in demands.items())
 
 
 @lru_cache(maxsize=None)
 def _host_modulus(weight: int, t: int) -> int:
     """M: the lcm of t^ell - 1 over every length the feasible pairs use."""
-    return lcm(*(m for _, m, _ in _host_tests(weight, t)[0]))
-
-
-_orbit_count = lru_cache(maxsize=None)(orbit_count)
+    return lcm(*(t**ell - 1 for ell in dict(_host_tests(weight, t)[0])))
 
 
 @lru_cache(maxsize=None)
@@ -462,13 +455,10 @@ def _hosted_pairs(weight: int, t: int, g: int) -> tuple[OlpPair, ...]:
     """The feasible pairs, in order, whose demand Z_g can host, for g dividing M:
     each hosting test is decided once, and a pair is hosted if it passes all of
     its own. The count of length-ell orbits, a function of gcd(g, t^ell - 1), is
-    found once per gcd."""
+    found once per gcd and read once per length."""
     tests, masks = _host_tests(weight, t)
-    passed = sum(
-        1 << k
-        for k, (ell, m, need) in enumerate(tests)
-        if _orbit_count(gcd(g, m), ell, t) >= need
-    )
+    counts = {ell: _orbit_count(g, ell, t) for ell in dict(tests)}
+    passed = sum(1 << k for k, (ell, need) in enumerate(tests) if counts[ell] >= need)
     return tuple(pair for pair, mask in masks if mask & passed == mask)
 
 
@@ -481,7 +471,7 @@ def _base_representatives(pair: OlpPair, weight: int, t: int, d: int) -> tuple[C
 @lru_cache(maxsize=None)
 def _rule_pairs(weight: int, t: int) -> tuple[tuple[OlpPair, tuple[int, ...]], ...]:
     """Each pair that survives counting-level pruning, in order, with its base orders."""
-    pairs = [pair for pair, _ in _feasible_pair_demands(weight, t)]
+    pairs = [pair for pair, _ in _host_tests(weight, t)[1]]
     return tuple((pair, tuple(base_orders(pair, t))) for pair in survivors(prune(pairs, t=t)))
 
 
@@ -515,7 +505,8 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> list[CirculantRow]:
     are merged by their canonical representative all the same, so the
     cross-check does not rest on that argument.
     """
-    ModulusContext(n, t)  # raises unless n >= 1 and t is a unit mod n; g always is one
+    if n < 1 or gcd(n, t) != 1:
+        ModulusContext(n, t)  # raises: g = gcd(n, M) is always a unit
     hosted = _hosted_pairs(weight, t, gcd(n, _host_modulus(weight, t)))
     return sorted({
         rep for pair in hosted for rep in _class_representatives(SearchSpec(n, weight, t, pair))
@@ -552,11 +543,11 @@ def full_classification(
     t = 2
     g = gcd(n, _host_modulus(weight, t))
     reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, g)]
-
     if cross_check is None:
         cross_check = n <= 105
-    if cross_check:
+    # with no class predicted and no pair hosted, the search would find none
+    if cross_check and (reps or _hosted_pairs(weight, t, g)):
         found = _search_all_pairs(n, weight, t)
         if sorted(reps) != found:
             raise _cross_check_error(n, reps, found)
-    return ClassificationResult(n, weight, tuple(reps), cross_check)
+    return _record(ClassificationResult, (n, weight, tuple(reps), cross_check))

@@ -12,13 +12,14 @@ from cwmat import (
     OlpPair,
     base_orders,
     divisors,
+    feasible_pairs,
     orbit_count,
     orbit_count_cap,
     orbit_of,
     orbits_of_length,
     units,
 )
-from cwmat.orbits import hosting_divisors
+from cwmat.orbits import _mobius_terms, _orbit_count, _orbit_table, hosting_divisors
 from golden import ORBIT_CAPS_T2, ORBITS_LEN5_MOD31, REQUIRED_DIVISOR_CASES
 from orbit_lister import orbit_lengths, t_orbits
 
@@ -144,6 +145,44 @@ def test_orbit_count_matches_enumeration_on_divisors(t, max_ell):
 def test_orbit_count_matches_enumeration(n, ell, t):
     assume(math.gcd(n, t) == 1)
     assert orbit_count(n, ell, t) == _enumerated_count(n, ell, t)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_gcd_scaled_orbit_tables_match_the_lister(t):
+    """Orbits of length ell in Z_n are n/g times those in Z_g, g = gcd(n, t^ell - 1):
+    at every n <= 2001 prime to t and every length the weight-16 pairs use,
+    the scaled lists, in order, their masks and the counts from cached Moebius
+    terms and gcd keys equal the lister's."""
+    lengths = sorted({ell for pair in feasible_pairs(16, t) for ell, _ in pair.demand})
+    assert lengths[-1] >= 6
+    for n in range(1, 2002):
+        if math.gcd(n, t) != 1:
+            continue
+        listed: dict[int, list[tuple[int, ...]]] = {}
+        for orbit in t_orbits(n, t):
+            listed.setdefault(len(orbit), []).append(orbit)
+        for ell in lengths:
+            orbits, masks = _orbit_table(n, t, ell)
+            assert orbits == listed.get(ell, []), (n, ell)
+            assert masks == [sum(1 << x for x in orbit) for orbit in orbits], (n, ell)
+            assert orbit_count(n, ell, t) == _orbit_count(n, ell, t) == len(orbits), (n, ell)
+
+
+def _mu(m: int) -> int:
+    """The Moebius function by its definition over the prime factors."""
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+    if any(m % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def test_mobius_terms_are_the_nonzero_terms_of_the_inversion():
+    # (e, mu(ell/e)) over the divisors e of ell; mu(4) = mu(12) = 0 drop out
+    assert _mobius_terms(12) == ((2, 1), (4, -1), (6, -1), (12, 1))
+    assert _mobius_terms(1) == ((1, 1),)
+    for ell in range(1, 400):
+        expected = tuple((e, _mu(ell // e)) for e in divisors(ell) if _mu(ell // e))
+        assert _mobius_terms(ell) == expected, ell
 
 
 def test_orbit_count_rejects_bad_arguments():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from math import comb, gcd
 
 import pytest
@@ -35,7 +36,7 @@ from cwmat import (
     verify_cw,
 )
 from cwmat.rows import _shifts, _weighing
-from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
+from cwmat.orbits import ModulusContext, _orbit_table, divisors, orbit_count, orbits_of_length, units
 from cwmat.search import (
     MAX_ASSIGNMENTS,
     MAX_MASK_BITS,
@@ -93,9 +94,7 @@ def _oracle(spec: SearchSpec) -> search_oracle.OracleReport:
 
 def _filtered(spec: SearchSpec):
     """The library's assignments of the spec: one per unit class."""
-    ctx = ModulusContext(spec.n, spec.t)
-    orbits = {ell: orbits_of_length(ctx, ell) for ell, _ in spec.pair.demand}
-    return _assignments(_levels(spec, orbits))
+    return _assignments(_levels(spec))
 
 
 def test_search_spec_validates():
@@ -150,16 +149,19 @@ def test_search_spec_bounds_the_orbit_masks():
 
 
 def test_assignment_count_is_computed_once(monkeypatch):
+    """Each length's count is found once, at g = gcd(n, t^ell - 1), however
+    often the spec and the search read assignment_count."""
     calls = []
 
     def counting(n, ell, t=2):
-        calls.append(ell)
+        calls.append((n, ell))
         return orbit_count(n, ell, t)
 
-    monkeypatch.setattr("cwmat.search.orbit_count", counting)
+    # a cache of its own, empty: no count found by an earlier test is read
+    monkeypatch.setattr("cwmat.orbits._gcd_orbit_count", lru_cache(maxsize=None)(counting))
     spec = _spec(63, "1^1 3^1 6^1", "6^1")
     assert exhaustive_search(spec).candidates_tested == spec.assignment_count
-    assert sorted(calls) == [1, 3, 6]
+    assert sorted(calls) == [(1, 1), (7, 3), (63, 6)]
 
 
 @pytest.mark.parametrize(
@@ -239,9 +241,9 @@ def test_search_builds_rows_only_for_hits(monkeypatch):
 
     monkeypatch.setattr("cwmat.search.from_sets", record)
     report = exhaustive_search(_spec(63, "1^1 3^1 6^1", "6^1"))
-    # the scan builds the first hit of each class, the derivation each solution
-    assert len(built) == len(report.classes) + len(report.solutions)
-    assert set(built) == set(report.solutions)
+    # each solution is built once: the first hit of each class by the scan,
+    # which the derivation reuses, the other solutions by the derivation
+    assert sorted(built) == sorted(report.solutions)
     assert report.candidates_tested > len(built) > 0
 
 
@@ -704,11 +706,42 @@ def test_search_all_pairs_refuses_a_multiplier_that_is_not_a_unit(n, weight, t):
         _search_all_pairs(n, weight, t)
 
 
+def test_search_all_pairs_builds_a_context_only_to_refuse(monkeypatch):
+    def refuse(n, t):
+        raise AssertionError(f"built ModulusContext({n}, {t})")
+
+    monkeypatch.setattr("cwmat.search.ModulusContext", refuse)
+    assert len(_search_all_pairs(63, 16)) == 2
+    with pytest.raises(AssertionError, match="built"):
+        _search_all_pairs(9, 16, 3)
+
+
+def test_an_order_with_no_class_and_no_hosted_pair_searches_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("cwmat.search._search_all_pairs", refuse)
+    # Z_3, Z_5 and Z_2001 host no feasible pair, and 21, 31 divide none of them
+    for n in (3, 5, 2001):
+        assert not _hosted_pairs(16, 2, gcd(n, _host_modulus(16, 2)))
+        assert full_classification(16, n, cross_check=True) == (n, 16, (), True)
+
+
+def test_the_cross_check_searches_the_hosted_pairs_when_the_rule_predicts_none(monkeypatch):
+    """A rule that predicts no class skips no search that Z_n hosts: the
+    two classes at 31 are found and named."""
+    monkeypatch.setattr("cwmat.search._rule_bases", lambda weight, t, g: ())
+    with pytest.raises(RuntimeError, match="rule predicts 0 classes at n=31, search found 2"):
+        full_classification(16, 31, cross_check=True)
+
+
 def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
     def refuse(ctx, ell):
         raise AssertionError(f"listed orbits of length {ell} at n={ctx.n}")
 
-    monkeypatch.setattr("cwmat.search.orbits_of_length", refuse)
+    monkeypatch.setattr("cwmat.orbits._orbits_at", refuse)
+    # orbit tables that earlier searches cached would hide a listing
+    _orbit_table.cache_clear()
     # 35 has no orbits of length 5 under doubling
     report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
     assert (report.candidates_tested, report.solutions) == (0, ())
