@@ -326,6 +326,12 @@ def cmd_rule(args) -> int:
     return _emit(args, payload, lines)
 
 
+# Most sign characters the classes that classify lists may hold, one per
+# entry of each class row; each entry is held as a coefficient before any is
+# printed. The first --max-n over it at weight 16 is 32395.
+MAX_CLASSIFY_CHARS = 2**25
+
+
 def cmd_classify(args) -> int:
     try:
         check_classified_weight(args.weight)
@@ -333,10 +339,16 @@ def cmd_classify(args) -> int:
         return _usage_error(str(exc))
     if args.max_n < 1:
         return _usage_error(f"--max-n must be at least 1, got {args.max_n}")
-    results = []
+    results, chars = [], 0
     for n in range(1, args.max_n + 1, 2):
         res = full_classification(args.weight, n)
         if res.count:
+            chars += res.count * n
+            if chars > MAX_CLASSIFY_CHARS:
+                return _usage_error(
+                    f"the classes at odd n <= {n} hold {chars} sign characters, "
+                    f"over the bound of {MAX_CLASSIFY_CHARS}"
+                )
             results.append(res)
 
     payload = {

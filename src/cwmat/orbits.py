@@ -103,13 +103,13 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
     return out
 
 
-# orbits_of_length once per (Z_g, ell); read only. Weight 16 at t = 2 lists at
-# most 39 of them: a divisor g of 2^ell - 1 for each ell <= 10.
+# orbits_of_length once per (Z_g, ell); read only. Over every order, the
+# weight-16, t = 2 cross-check and rule request 19 distinct lists.
 _orbits_at = lru_cache(maxsize=64)(orbits_of_length)
 
 
 # Bounded: it holds n-bit masks. The pairs hosted at one odd order n <= 10001
-# use at most seven lengths at weight 16, so one order's tables stay in it.
+# use at most 7 lengths at weight 16, so one order's tables fit (8 at n = 55335).
 @lru_cache(maxsize=8)
 def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """(the orbits of length ell in Z_n as orbits_of_length lists them, and

@@ -150,7 +150,7 @@ class OlpPair(NamedTuple):
         Parts of both sides take distinct orbits, so this is what the
         orbit-count caps and the orbit counts of Z_n must cover.
         """
-        return tuple(sorted(Counter(self.p.parts + self.n.parts).items()))
+        return tuple([(ell, p + q) for ell, p, q in _pair_lengths(self)])
 
 
 def olp_of_set(X, ctx: ModulusContext) -> Olp:
@@ -199,6 +199,14 @@ def _capped_partitions(total: int, caps) -> list[Olp]:
 def _multiplicities(olp: Olp) -> dict[int, int]:
     """Olp.multiplicities, built once per olp; callers must not mutate it."""
     return olp.multiplicities
+
+
+@lru_cache(maxsize=None)
+def _pair_lengths(pair: OlpPair) -> tuple[tuple[int, int, int], ...]:
+    """(length, parts of that length in P, parts in N) for each length the
+    pair uses, ascending: its demand, split by side, once per pair."""
+    p, n = pair.p.parts, pair.n.parts
+    return tuple([(ell, p.count(ell), n.count(ell)) for ell in sorted(set(p + n))])
 
 
 def describing_set_sizes(weight: int) -> tuple[int, int]:

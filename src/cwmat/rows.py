@@ -181,10 +181,7 @@ def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> Circulant
     s, t = witness.s % n, witness.t % n
     if gcd(t, n) != 1:
         raise ValueError(f"t={witness.t} is not a unit mod {n}")
-    out = [0] * n
-    for i, c in enumerate(row.coeffs):
-        out[(t * i + s) % n] = c
-    return CirculantRow(n, tuple(out))
+    return from_sets(n, *([(t * i + s) % n for i in side] for side in describing_sets(row)))
 
 
 def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:

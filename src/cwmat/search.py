@@ -97,7 +97,8 @@ from .orbits import (
     ModulusContext, _orbit_count, _orbit_table, hosting_divisors, orbits_of_length,
 )
 from .pruning import (
-    OlpPair, _record, cross_pairs, describing_set_sizes, feasible_pairs, prune, survivors,
+    OlpPair, _pair_lengths, _record, cross_pairs, describing_set_sizes, feasible_pairs, prune,
+    survivors,
 )
 from .rows import (
     CirculantRow,
@@ -106,6 +107,7 @@ from .rows import (
     apply_transform,
     are_equivalent,
     canonical_form,
+    describing_sets,
     from_sets,
     verify_cw,
 )
@@ -172,14 +174,6 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
         for ell, p, q in _pair_lengths(pair):
             count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
         return count
-
-
-@lru_cache(maxsize=None)
-def _pair_lengths(pair: OlpPair) -> tuple[tuple[int, int, int], ...]:
-    """(length, parts of that length in P, parts in N) for each length the
-    pair uses, ascending: its demand, split by side, once per pair."""
-    p, n = pair.p.parts, pair.n.parts
-    return tuple([(ell, p.count(ell), n.count(ell)) for ell in sorted(set(p + n))])
 
 
 class EquivalenceClass(NamedTuple):
@@ -250,11 +244,9 @@ def _assignments(
             yield from _assignments(rest, more_pm, more_nm, more_p, more_n)
 
 
-def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], list[list[tuple[int, ...]]]]:
-    """(the first hit (P, N, its row) of each class by its canonical
-    representative, the orbits of each length the pair uses, ascending,
-    as orbits_of_length lists them), from one assignment per unit class
-    (see _levels).
+def _scan(spec: SearchSpec) -> dict[CirculantRow, tuple]:
+    """The first hit (P, N, its row) of each class by its canonical
+    representative, from one assignment per unit class (see _levels).
 
     Orbits are listed only when the closed-form counts show that Z_n
     hosts the pair. Every tested assignment goes through the kernel, and
@@ -264,11 +256,10 @@ def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], list[list[tuple[
     """
     n, t = spec.n, spec.t
     if spec.assignment_count == 0:
-        return {}, []
-    levels = _levels(spec)
+        return {}
     canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
     first: dict[CirculantRow, tuple] = {}
-    for pm, nm, P, N in _assignments(levels):
+    for pm, nm, P, N in _assignments(_levels(spec)):
         if not _weighing(n, P + N, pm, nm, t):
             continue
         if not cw_equation_holds(P, N, n):
@@ -283,12 +274,12 @@ def _scan(spec: SearchSpec) -> tuple[dict[CirculantRow, tuple], list[list[tuple[
             for u in _coset_leaders(n, t):
                 image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
                 canon[image] = rep
-    return first, [level[0] for level in levels]
+    return first
 
 
 def _class_representatives(spec: SearchSpec) -> list[CirculantRow]:
     """The sorted canonical representatives of the pair's classes at spec.n."""
-    return sorted(_scan(spec)[0])
+    return sorted(_scan(spec))
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchReport:
@@ -303,7 +294,11 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     the P orbits, then of the N orbits. Raises RuntimeError if a hit fails
     the difference-multiset equation.
     """
-    first, orbits = _scan(spec)
+    n, _, t, pair = spec
+    first = _scan(spec)
+    # the orbits of each length the pair uses, as _levels read them; with no
+    # hit (so whenever Z_n cannot host the pair) none is listed
+    orbits = [_orbit_table(n, t, ell)[0] for ell, _, _ in _pair_lengths(pair)] if first else []
     # residue -> (position of its orbit's length in the demand, the orbit's index)
     place = {x: (k, i) for k, orbs in enumerate(orbits) for i, o in enumerate(orbs) for x in o}
     classes = []
@@ -311,7 +306,7 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
         P, N, row = first[rep]
         hit = frozenset(P), frozenset(N)  # the image u = 1, s = 0: the scan built its row
         images = sorted(_images(spec, P, N), key=lambda im: _key(im, place, len(orbits)))
-        classes.append((rep, [row if im == hit else from_sets(spec.n, *im) for im in images]))
+        classes.append((rep, [row if im == hit else from_sets(n, *im) for im in images]))
     return SearchReport(
         spec,
         spec.assignment_count,
@@ -381,8 +376,7 @@ def base_orders(pair: OlpPair, t: int = 2) -> list[int]:
     modulus per length. Any CW of odd order whose normalized row
     realizes this pair is a lift of a solution at one of these orders.
     """
-    parts = pair.p.parts + pair.n.parts
-    if any(p > 10 for p in parts):
+    if any(ell > 10 for ell, _ in pair.demand):
         raise ValueError("orbit lengths above 10 are outside the implemented analysis")
     per_length = []
     for ell, need in pair.demand:
@@ -397,10 +391,7 @@ def lift(row: CirculantRow, m: int) -> CirculantRow:
     """Spread the row to order n*m: coefficient i moves to index i*m."""
     if m < 1:
         raise ValueError(f"lift factor must be positive, got {m}")
-    coeffs = [0] * (row.n * m)
-    for i, c in enumerate(row.coeffs):
-        coeffs[i * m] = c
-    return CirculantRow(row.n * m, tuple(coeffs))
+    return from_sets(row.n * m, *([i * m for i in side] for side in describing_sets(row)))
 
 
 class ClassificationResult(NamedTuple):

@@ -16,11 +16,8 @@ from cwmat import (
     Olp,
     OlpPair,
     SearchSpec,
-    apply_transform,
     are_equivalent,
     canonical_form,
-    classify,
-    cross_pairs,
     cw_equation_holds,
     describing_sets,
     diff_length_candidates,
@@ -35,6 +32,9 @@ from cwmat import (
     units,
     verify_cw,
 )
+from cwmat.pruning import cross_pairs
+from cwmat.rows import apply_transform
+from cwmat.search import classify
 from golden import (
     CLASS_COUNTS_UPTO_105,
     COUNTING_SURVIVOR_INDICES,

@@ -1,5 +1,5 @@
-"""The public names of cwmat: what the pipeline, the CLI and the scripts
-call; and the test references that must not use them."""
+"""The public names of cwmat: what the pipeline and the CLI call; and the
+test references that must not use them."""
 from __future__ import annotations
 
 import ast
@@ -41,11 +41,16 @@ REMOVED = (
     "Orbit",
     # a test-only reference in tests/row_reference.py
     "class_contractible",
+    # called only by tests, which import them from their modules; the
+    # benchmark's tracer wraps module bindings, never the package's
+    "classify",
+    "cross_pairs",
+    "apply_transform",
 )
 
 
 def test_every_exported_name_resolves():
-    assert len(cwmat.__all__) == len(set(cwmat.__all__)) == 40
+    assert len(cwmat.__all__) == len(set(cwmat.__all__)) == 37
     for name in cwmat.__all__:
         assert getattr(cwmat, name) is not None, name
 

@@ -14,13 +14,13 @@ from cwmat import (
     EquivalenceWitness,
     Olp,
     OlpPair,
-    apply_transform,
     from_sets,
     full_classification,
     lift,
     units,
 )
 from cwmat.cli import main
+from cwmat.rows import apply_transform
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -468,6 +468,23 @@ def test_classify_rejects_max_n_below_one(capsys, max_n):
     assert code == 2
     assert f"--max-n must be at least 1, got {max_n}" in err
     assert out == ""
+
+
+def test_classify_refuses_classes_over_its_character_bound(capsys, monkeypatch, tmp_path):
+    """The classes at 21 and 31 hold 21 + 2 * 31 = 83 sign characters; at
+    63, two more classes bring 209. With the bound at 83 the first run
+    prints as before, the second is refused before anything is printed
+    or written."""
+    monkeypatch.setattr("cwmat.cli.MAX_CLASSIFY_CHARS", 83)
+    code, out, _ = run(capsys, "classify", "16", "--max-n", "62")
+    assert code == 0
+    assert "n=31: 2 classes" in out
+    target = tmp_path / "classes.json"
+    target.write_text("old")
+    code, out, err = run(capsys, "classify", "16", "--max-n", "63", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: the classes at odd n <= 63 hold 209 sign characters, over the bound of 83\n"
+    assert target.read_text() == "old"
 
 
 @pytest.mark.parametrize("t", ["1", "0", "-2", "-3"])

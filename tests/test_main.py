@@ -98,3 +98,30 @@ def test_search_refuses_oversized_orbit_masks_under_an_address_space_cap():
         "exceed the search bound of 1073741824\n"
     )
     assert proc.stdout == ""
+
+
+def test_classify_refuses_output_over_its_bound_under_an_address_space_cap():
+    """The classes at odd n <= 200001 would hold about 1.28e9 sign
+    characters, and each is held as a coefficient first: under a 1.5 GB
+    address-space cap (ulimit -v 1500000) the run is refused with exit 2
+    once they pass MAX_CLASSIFY_CHARS = 2^25, at n = 32395, not a
+    MemoryError."""
+    cap = 1_500_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwmat", "classify", "16", "--max-n", "200001"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        preexec_fn=limit,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: the classes at odd n <= 32395 hold 33603146 sign characters, "
+        "over the bound of 33554432\n"
+    )
+    assert proc.stdout == ""

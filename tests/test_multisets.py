@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
-    apply_transform,
     cw_equation_holds,
     describing_sets,
     from_sets,
@@ -15,6 +17,7 @@ from cwmat import (
     verify_cw,
     verify_sets,
 )
+from cwmat.rows import apply_transform
 from golden import (
     KNOWN_CW_7_4_N,
     KNOWN_CW_7_4_P,
@@ -127,3 +130,21 @@ def test_cw_equation_invariant_under_swap_and_shift(case):
     P2 = {(x + 3) % n for x in P}
     N2 = {(x + 3) % n for x in N}
     assert holds == cw_equation_holds(P2, N2, n)
+
+
+def test_cw_equation_memory_is_one_count_per_lag():
+    """A dense order-2001 row holds about 1.8 million differences; the
+    check keeps n counts, not lists of them, so it stays well under 1 MiB."""
+    n = 2001
+    rng = random.Random(2001)
+    coeffs = [rng.choice((-1, 0, 1)) for _ in range(n)]
+    P = {i for i, c in enumerate(coeffs) if c == 1}
+    N = {i for i, c in enumerate(coeffs) if c == -1}
+    tracemalloc.start()
+    try:
+        holds = cw_equation_holds(P, N, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not holds
+    assert peak < 2**20, peak

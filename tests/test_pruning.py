@@ -22,7 +22,6 @@ from cwmat import (
     Olp,
     OlpPair,
     PruneReport,
-    cross_pairs,
     describing_set_sizes,
     describing_sets,
     diff_length_candidates,
@@ -48,6 +47,7 @@ from cwmat.pruning import (
     _mask,
     _side_bounds,
     _width,
+    cross_pairs,
 )
 from cwmat.search import MAX_MASK_BITS
 from golden import (

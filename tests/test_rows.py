@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cwmat import (
     CirculantRow,
     EquivalenceWitness,
-    apply_transform,
     are_equivalent,
     canonical_form,
     describing_sets,
@@ -21,7 +20,7 @@ from cwmat import (
     verify_cw,
     verify_sets,
 )
-from cwmat.rows import _shifts, _weighing
+from cwmat.rows import _shifts, _weighing, apply_transform
 from golden import (
     KNOWN_CW_7_4,
     KNOWN_CW_13_9,

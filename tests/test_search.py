@@ -4,7 +4,7 @@ import gc
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -18,12 +18,9 @@ from cwmat import (
     OlpPair,
     SearchReport,
     SearchSpec,
-    apply_transform,
     are_equivalent,
     base_orders,
     canonical_form,
-    classify,
-    cross_pairs,
     describing_sets,
     exhaustive_search,
     feasible_pairs,
@@ -35,8 +32,11 @@ from cwmat import (
     prune,
     verify_cw,
 )
-from cwmat.rows import _shifts, _weighing
-from cwmat.orbits import ModulusContext, _orbit_table, divisors, orbit_count, orbits_of_length, units
+from cwmat.pruning import _pair_lengths, cross_pairs
+from cwmat.rows import _shifts, _weighing, apply_transform
+from cwmat.orbits import (
+    ModulusContext, _orbit_table, _orbits_at, divisors, orbit_count, orbits_of_length, units,
+)
 from cwmat.search import (
     MAX_ASSIGNMENTS,
     MAX_MASK_BITS,
@@ -48,6 +48,7 @@ from cwmat.search import (
     _rule_bases,
     _rule_pairs,
     _search_all_pairs,
+    classify,
 )
 from golden import (
     BASE_ORDER_CASES,
@@ -747,6 +748,57 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
     assert (report.candidates_tested, report.solutions) == (0, ())
     with pytest.raises(AssertionError, match="listed orbits"):
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
+
+
+def _hosted_lengths(n: int) -> set[int]:
+    """The lengths the pairs Z_n hosts at weight 16, t = 2 use."""
+    hosted = _hosted_pairs(16, 2, gcd(n, _host_modulus(16, 2)))
+    return {ell for pair in hosted for ell, _, _ in _pair_lengths(pair)}
+
+
+def test_one_orders_orbit_tables_fit_their_cache():
+    """The cross-check at n lists the orbit tables of every length its
+    hosted pairs use: at odd n <= 10001 at most 7, first at n = 3255, so
+    _orbit_table's 8 entries hold one order's tables; 8 first occur at
+    n = 55335."""
+    lengths = {n: len(_hosted_lengths(n)) for n in range(1, 55336, 2)}
+    assert max(lengths[n] for n in range(1, 10002, 2)) == 7
+    assert min(n for n, count in lengths.items() if count == 7) == 3255
+    assert min(n for n, count in lengths.items() if count == 8) == 55335
+    assert _orbit_table.cache_info().maxsize == 8
+
+
+def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
+    """Over every g | M the cross-check and the rule request 19 distinct
+    (Z_g, ell) orbit lists, within _orbits_at's 64 entries; the lists that
+    cross-checked classifications request are among them. An order n
+    enters only through g = gcd(n, M), and a search at n lists the
+    lengths ell of its pair at gcd(n, 2^ell - 1)."""
+    requested = set()
+
+    def search(n, pair):
+        requested.update((gcd(n, 2**ell - 1), ell) for ell, _, _ in _pair_lengths(pair))
+
+    for g in divisors(_host_modulus(16, 2)):
+        for pair in _hosted_pairs(16, 2, g):
+            search(g, pair)
+        for pair, orders in _rule_pairs(16, 2):
+            dividing = [b for b in orders if g % b == 0]
+            if dividing:
+                search(lcm(*dividing), pair)
+    assert len(requested) == 19
+    assert _orbits_at.cache_info().maxsize == 64
+    seen = set()
+
+    def record(ctx, ell):
+        seen.add((ctx.n, ell))
+        return orbits_of_length(ctx, ell)
+
+    monkeypatch.setattr("cwmat.orbits._orbits_at", record)
+    _orbit_table.cache_clear()
+    for n in (21, 31, 45, 63, 93, 105, 315, 341):
+        full_classification(16, n, cross_check=True)
+    assert seen and seen <= requested
 
 
 def test_classify_groups_by_equivalence():
