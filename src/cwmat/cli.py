@@ -80,9 +80,10 @@ def _row_payload(
     return payload, olp_p, olp_n
 
 
-def _emit(args, payload: dict, lines: list[str], code: int = 0) -> int:
+def _emit(args, payload: dict | None, lines: list[str] | None, code: int = 0) -> int:
     """Write --out through its staged file, then print; the exit code, or
-    2 if --out cannot be written (an old --out then stays intact)."""
+    2 if --out cannot be written (an old --out then stays intact). payload
+    may be None unless it is written (--out or JSON), lines unless printed."""
     if args.out:
         try:
             with open(args.staged_out, "w") as fh:
@@ -197,28 +198,32 @@ def cmd_prune(args) -> int:
         summary += f" -> {counting_survivors} (counting)"
         payload_summary["countingSurvivors"] = counting_survivors
 
-    payload = {
-        "weight": args.weight,
-        "t": args.multiplier,
-        "level": args.level,
-        "pairs": [
-            {
-                "index": i,
-                "olpP": _olp_json(r.pair.p),
-                "olpN": _olp_json(r.pair.n),
-                "verdict": r.verdict,
-                "witnesses": [_witness_json(w) for w in r.witnesses],
-            }
-            for i, r in enumerate(reports, 1)
-        ],
-        "summary": payload_summary,
-    }
-
-    lines = [f"weight {args.weight}, t={args.multiplier}, level {args.level}"]
-    for i, r in enumerate(reports, 1):
-        head = f"{i:3d}  {r.verdict:8s}  ({r.pair.p}, {r.pair.n})"
-        lines.append(head + (f"  {r.reason}" if r.witnesses else ""))
-    lines.append(summary)
+    # Each form is built only if it is written: at W = 64 the payload of
+    # 646225 pairs alone holds more than a gigabyte.
+    payload = lines = None
+    if args.out or args.format == "json":
+        payload = {
+            "weight": args.weight,
+            "t": args.multiplier,
+            "level": args.level,
+            "pairs": [
+                {
+                    "index": i,
+                    "olpP": _olp_json(r.pair.p),
+                    "olpN": _olp_json(r.pair.n),
+                    "verdict": r.verdict,
+                    "witnesses": [_witness_json(w) for w in r.witnesses],
+                }
+                for i, r in enumerate(reports, 1)
+            ],
+            "summary": payload_summary,
+        }
+    if args.format != "json":
+        lines = [f"weight {args.weight}, t={args.multiplier}, level {args.level}"]
+        for i, r in enumerate(reports, 1):
+            head = f"{i:3d}  {r.verdict:8s}  ({r.pair.p}, {r.pair.n})"
+            lines.append(head + (f"  {r.reason}" if r.witnesses else ""))
+        lines.append(summary)
     return _emit(args, payload, lines)
 
 

@@ -169,11 +169,18 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
         of C(c, p) * C(c - p, q) = C(c, p + q) * C(p + q, p), with c orbits
         of length ell in Z_n and p, q parts of that length in P and N.
         It is 0 exactly when Z_n cannot host the pair."""
-        n, _, t, pair = self
-        count = 1
-        for ell, p, q in _pair_lengths(pair):
-            count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
-        return count
+        return _assignment_count(self)
+
+
+# The spec, its scan and exhaustive_search each read the count; a search
+# builds its spec just before it runs, so a small cache finds it once.
+@lru_cache(maxsize=256)
+def _assignment_count(spec: SearchSpec) -> int:
+    n, _, t, pair = spec
+    count = 1
+    for ell, p, q in _pair_lengths(pair):
+        count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
+    return count
 
 
 class EquivalenceClass(NamedTuple):

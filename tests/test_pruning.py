@@ -41,10 +41,11 @@ from cwmat.pruning import (
     _capped_partitions,
     _cross_bounds,
     _cross_row,
-    _existence_profile,
+    _existence_table,
     _field,
     _length_at,
     _mask,
+    _olp_facts,
     _side_bounds,
     _width,
     cross_pairs,
@@ -102,7 +103,7 @@ def _length_count_bounds(pair: OlpPair, t: int = 2):
 def _own_lengths(olp: Olp, t: int = 2) -> frozenset[int]:
     """pol(Delta) of one describing set: the lengths of its own differences,
     read off the bitmask the existence level builds."""
-    mask = _existence_profile(olp, t)[1]
+    mask = _olp_facts(olp, t)[1]
     return frozenset(_length_at[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -299,6 +300,23 @@ def test_diff_length_candidates_examples():
     assert diff_length_candidates(2, 2, 3) == frozenset({1, 2})
     assert diff_length_candidates(1, 2, 3) == frozenset({2})
     assert diff_length_candidates(6, 2, 1) == frozenset({3, 6})
+
+
+def _divisor_filter_candidates(k: int, l: int, t: int) -> frozenset[int]:
+    """The definition the closed form must equal: the divisors m of
+    lcm(k, l) with k | lcm(l, m) and l | lcm(m, k), and m > 1 at t = 2."""
+    return frozenset(
+        m
+        for m in divisors(math.lcm(k, l))
+        if (m > 1 or t != 2) and math.lcm(l, m) % k == 0 and math.lcm(m, k) % l == 0
+    )
+
+
+def test_diff_length_candidates_match_the_divisor_filter():
+    for t in (1, 2, 3):
+        for k in range(1, 61):
+            for l in range(1, 61):
+                assert diff_length_candidates(k, l, t) == _divisor_filter_candidates(k, l, t), (k, l, t)
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
@@ -506,7 +524,7 @@ def test_existence_masks_and_cross_rows_match_the_tables():
         for t in (2, 3):
             for size in describing_set_sizes(weight):
                 for olp in _capped_partitions(size, _caps(size, t)):
-                    parts, mask = _existence_profile(olp, t)
+                    parts, mask, _ = _olp_facts(olp, t)
                     assert parts == tuple(sorted(set(olp.parts))), str(olp)
                     own, _ = _reference_tables(OlpPair(olp, Olp(())), t)
                     assert mask == _mask(map(_field, own)), (weight, t, str(olp))
@@ -635,6 +653,59 @@ def test_prune_matches_the_set_formulation(weight, t):
     for level in ("existence", "counting"):
         expected = [_reference_report(pair, level, t) for pair in pairs]
         assert prune(pairs, level=level, t=t) == expected, (weight, t, level)
+
+
+def test_counting_reuses_the_existence_verdicts():
+    """Each pair's existence report is decided once per (olp(N), t): counting
+    first, then existence, then counting again all equal the reference, and
+    a pair rejected at existence gets the same report object at counting."""
+    pairs = feasible_pairs(25)
+    _existence_table.cache_clear()
+    expected = {
+        level: [_reference_report(pair, level, 2) for pair in pairs]
+        for level in ("existence", "counting")
+    }
+    first = prune(pairs)
+    assert first == expected["counting"]
+    existence = prune(pairs, level="existence")
+    assert existence == expected["existence"]
+    again = prune(pairs)
+    assert again == expected["counting"]
+    rejected = [i for i, r in enumerate(existence) if r.verdict == "rejected"]
+    assert rejected
+    for i in rejected:
+        assert again[i] is existence[i] is first[i]
+
+
+def test_existence_verdicts_do_not_leak_across_t():
+    """The same pairs pruned at t = 2 and t = 3, in both orders, each match
+    the reference at their own t; some verdicts differ between the two."""
+    pairs = feasible_pairs(16) + feasible_pairs(16, 3)
+    verdicts = {}
+    for ts in ((2, 3), (3, 2)):
+        _existence_table.cache_clear()
+        for t in ts:
+            for level in ("counting", "existence"):
+                reports = prune(pairs, level=level, t=t)
+                assert reports == [_reference_report(pair, level, t) for pair in pairs], (ts, t, level)
+                verdicts[t, level] = [r.verdict for r in reports]
+    for level in ("existence", "counting"):
+        assert verdicts[2, level] != verdicts[3, level]
+
+
+def test_value_equal_olps_share_their_verdicts():
+    """Pairs rebuilt from distinct but equal Olp objects get reports equal to
+    the reference and to those of the first objects; their existence
+    reports are the ones decided for the first objects."""
+    pairs = feasible_pairs(36)
+    copies = [OlpPair(Olp(list(pair.p.parts)), Olp(list(pair.n.parts))) for pair in pairs]
+    assert copies == pairs and all(c.p is not p.p for c, p in zip(copies, pairs))
+    for level in ("existence", "counting"):
+        reports = prune(pairs, level=level)
+        shared = prune(copies, level=level)
+        assert shared == reports == [_reference_report(pair, level, 2) for pair in copies]
+        if level == "existence":
+            assert all(s is r for s, r in zip(shared, reports))
 
 
 def test_existence_witnesses_are_shared_between_reports():

@@ -40,6 +40,7 @@ from cwmat.orbits import (
 from cwmat.search import (
     MAX_ASSIGNMENTS,
     MAX_MASK_BITS,
+    _assignment_count,
     _assignments,
     _class_representatives,
     _host_modulus,
@@ -163,6 +164,19 @@ def test_assignment_count_is_computed_once(monkeypatch):
     spec = _spec(63, "1^1 3^1 6^1", "6^1")
     assert exhaustive_search(spec).candidates_tested == spec.assignment_count
     assert sorted(calls) == [(1, 1), (7, 3), (63, 6)]
+
+
+def test_assignment_count_is_found_once_per_search():
+    """The spec's bound, the scan and exhaustive_search each read the count;
+    it is found once per spec, and once per search of a classification."""
+    _assignment_count.cache_clear()
+    spec = _spec(63, "1^1 3^1 6^1", "6^1")
+    assert exhaustive_search(spec).candidates_tested == 144
+    assert _assignment_count.cache_info().misses == 1
+    _assignment_count.cache_clear()
+    _search_all_pairs(63, 16)
+    info = _assignment_count.cache_info()
+    assert info.misses == info.hits > 0
 
 
 @pytest.mark.parametrize(
