@@ -23,8 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from collections import Counter
-from math import lcm
+from functools import lru_cache
 
 from .multisets import cw_equation_holds
 from .orbits import ModulusContext, units
@@ -44,6 +43,7 @@ from .search import (
     _rule_pairs,
     check_classified_weight,
     check_olp_sums,
+    classification_rule,
     exhaustive_search,
     full_classification,
 )
@@ -219,10 +219,11 @@ def cmd_prune(args) -> int:
             "summary": payload_summary,
         }
     if args.format != "json":
+        text = lru_cache(maxsize=None)(str)  # each distinct olp and witness rendered once
         lines = [f"weight {args.weight}, t={args.multiplier}, level {args.level}"]
         for i, r in enumerate(reports, 1):
-            head = f"{i:3d}  {r.verdict:8s}  ({r.pair.p}, {r.pair.n})"
-            lines.append(head + (f"  {r.reason}" if r.witnesses else ""))
+            head = f"{i:3d}  {r.verdict:8s}  ({text(r.pair.p)}, {text(r.pair.n)})"
+            lines.append(head + (f"  {text(r.witnesses[0])}" if r.witnesses else ""))
         lines.append(summary)
     return _emit(args, payload, lines)
 
@@ -278,55 +279,34 @@ def cmd_search(args) -> int:
 
 
 def cmd_rule(args) -> int:
-    """The searches behind full_classification's rule, and its terms c_b.
-
-    Per surviving pair, the classes at n are those at the lcm of its base
-    orders dividing n, itself a base order: a base order is the lcm of
-    one divisor of t^ell - 1 per length ell that hosts enough orbits of
-    that length, and if d | d', Z_d is a t-invariant subgroup of Z_d', so
-    d' hosts them too. So with c_b = classes(b) minus the c_b' of the
-    pair's base orders b' properly dividing b, the classes at n number
-    the sum of c_b over the b dividing n, summed over the pairs.
-    """
+    """The searches behind classification_rule, and its terms."""
     t = 2  # the multiplier premise of full_classification
-    try:  # every spec before any search, so a refused weight prints nothing else
-        specs = [
-            (pair, orders, [SearchSpec(b, args.weight, t, pair) for b in orders])
-            for pair, orders in _rule_pairs(args.weight, t)
-        ]
+    try:  # before any line is built, so a refused weight prints nothing else
+        terms = classification_rule(args.weight, t)
     except ValueError as exc:
         return _usage_error(str(exc))
-    for _, orders, _ in specs:
-        if {lcm(a, b) for a in orders for b in orders} - set(orders):
-            raise RuntimeError(f"base orders {list(orders)} are not closed under lcm")
 
-    terms: Counter[int] = Counter()
     pairs, lines = [], [f"weight {args.weight}, t={t}"]
-    for pair, orders, pair_specs in specs:
+    for pair, orders in _rule_pairs(args.weight, t):
         lines.append(f"pair {pair}, base orders {' '.join(map(str, orders))}")
         searches = []
-        pair_terms: dict[int, int] = {}  # base orders ascend, so divisors come first
-        for spec in pair_specs:
-            report = exhaustive_search(spec)
-            b = spec.n
-            pair_terms[b] = len(report.classes) - sum(c for d, c in pair_terms.items() if b % d == 0)
+        for b in orders:
+            report = exhaustive_search(SearchSpec(b, args.weight, t, pair))
             payload, search_lines = _search_output(report)
             searches.append(payload)
             lines.extend(search_lines)
-        terms.update(pair_terms)
         pairs.append(
             {"olpP": _olp_json(pair.p), "olpN": _olp_json(pair.n), "baseOrders": list(orders),
              "searches": searches}
         )
 
-    nonzero = sorted((b, c) for b, c in terms.items() if c)
-    rule = " + ".join(f"[{b}|n]" if c == 1 else f"{c}*[{b}|n]" for b, c in nonzero)
+    rule = " + ".join(f"[{b}|n]" if c == 1 else f"{c}*[{b}|n]" for b, c in terms)
     lines.append(f"classes with multiplier {t} at odd n: {rule or 0}")
     payload = {
         "weight": args.weight,
         "t": t,
         "pairs": pairs,
-        "terms": [[b, c] for b, c in nonzero],
+        "terms": [[b, c] for b, c in terms],
     }
     return _emit(args, payload, lines)
 

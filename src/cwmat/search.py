@@ -490,6 +490,31 @@ def _rule_bases(weight: int, t: int, g: int) -> tuple[CirculantRow, ...]:
     return tuple(reps)
 
 
+def classification_rule(weight: int, t: int) -> list[tuple[int, int]]:
+    """The terms (b, c_b), c_b != 0, sorted by b: the classes with multiplier
+    t at n number the sum of c_b over the b dividing n.
+
+    Per surviving pair, the classes at n are those at the lcm of its base
+    orders dividing n, itself a base order: a base order is the lcm of
+    one divisor of t^ell - 1 per length ell that hosts enough orbits of
+    that length, and if d | d', Z_d is a t-invariant subgroup of Z_d', so
+    d' hosts them too. So with c_b = classes(b) minus the c_b' of the
+    pair's base orders b' properly dividing b, the classes at n number
+    the sum of c_b over the b dividing n, summed over the pairs. Raises
+    RuntimeError if a pair's base orders are not closed under lcm.
+    """
+    terms: dict[int, int] = {}
+    for pair, orders in _rule_pairs(weight, t):
+        if {lcm(a, b) for a in orders for b in orders} - set(orders):
+            raise RuntimeError(f"base orders {list(orders)} are not closed under lcm")
+        pair_terms: dict[int, int] = {}  # base orders ascend, so divisors come first
+        for b in orders:
+            classes = len(_base_representatives(pair, weight, t, b))
+            pair_terms[b] = classes - sum(c for d, c in pair_terms.items() if b % d == 0)
+            terms[b] = terms.get(b, 0) + pair_terms[b]
+    return sorted((b, c) for b, c in terms.items() if c)
+
+
 def _search_all_pairs(n: int, weight: int, t: int = 2) -> list[CirculantRow]:
     """Canonical representatives of the classes of every cross pair's
     solutions at order n, sorted.

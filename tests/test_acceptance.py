@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd
+from math import gcd, lcm
 
 from cwmat import (
     CirculantRow,
@@ -18,6 +18,7 @@ from cwmat import (
     SearchSpec,
     are_equivalent,
     canonical_form,
+    classification_rule,
     cw_equation_holds,
     describing_sets,
     diff_length_candidates,
@@ -34,7 +35,7 @@ from cwmat import (
 )
 from cwmat.pruning import cross_pairs
 from cwmat.rows import apply_transform
-from cwmat.search import classify
+from cwmat.search import _rule_pairs, classify
 from golden import (
     CLASS_COUNTS_UPTO_105,
     COUNTING_SURVIVOR_INDICES,
@@ -44,6 +45,7 @@ from golden import (
     KNOWN_CW_7_4,
     KNOWN_CW_31_16,
     KNOWN_REJECTION_WITNESSES,
+    RULE_TERMS,
     W0_21_N,
     W0_21_P,
     W1_63_N,
@@ -363,3 +365,19 @@ def test_criterion_11_kronecker_products_are_classified():
                 assert canonical_form(CirculantRow(m * n, w)) in forms[m * n], (n, m)
                 products += 1
     assert products == 109
+
+
+def test_criterion_12_the_rule_counts_the_classes_at_every_odd_order():
+    """The terms 2*[31|n] + [63|n] + [21|n]: each b is an lcm of base
+    orders of one surviving pair, and the c_b of the b dividing n sum to
+    the classes at every odd n <= 2001."""
+    with _budget(60.0):
+        terms = classification_rule(16, 2)
+        assert dict(terms) == RULE_TERMS
+        for b, _ in terms:
+            assert any(
+                lcm(*(d for d in orders if b % d == 0)) == b for _, orders in _rule_pairs(16, 2)
+            ), b
+        for n in range(1, 2002, 2):
+            expected = full_classification(16, n).count
+            assert sum(c for b, c in terms if n % b == 0) == expected, f"n={n}"

@@ -50,7 +50,7 @@ REMOVED = (
 
 
 def test_every_exported_name_resolves():
-    assert len(cwmat.__all__) == len(set(cwmat.__all__)) == 37
+    assert len(cwmat.__all__) == len(set(cwmat.__all__)) == 38
     for name in cwmat.__all__:
         assert getattr(cwmat, name) is not None, name
 

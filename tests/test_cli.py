@@ -14,6 +14,7 @@ from cwmat import (
     EquivalenceWitness,
     Olp,
     OlpPair,
+    classification_rule,
     from_sets,
     full_classification,
     lift,
@@ -26,7 +27,6 @@ from golden import (
     BASE_SEARCH_COUNTS,
     KNOWN_CW_7_4,
     KNOWN_CW_31_16,
-    RULE_TERMS,
     W1_31_N,
     W1_31_P,
     W1_63_N,
@@ -230,11 +230,35 @@ PARENT_SEARCH_JSON_SHA256 = {
 }
 
 
+# sha256 of the stdout of these commands at commit 2333d9b, the parent of
+# deriving the rule's terms in search.classification_rule and rendering
+# each distinct olp and witness of cwmat prune's text once: regression
+# references for the rule's searches, terms and text and for the prune
+# lines (parent output), not independent results.
+PARENT_RULE_PRUNE_SHA256 = {
+    ("rule", "16", "--format", "json"):
+        "e7745cce949d693ac066adcef9634c350d4007abf50e75b63c3cb490d7c5ac2a",
+    ("rule", "16"):
+        "bbcb3dff97711a02eb4aee58fabb78c3e92d915aa5ea473916b27609ad59e488",
+    ("rule", "4", "--format", "json"):
+        "0c88c73dcd15bc8d2bdfc5fab11265c0c6a3566a6a0828f4058cbb704495c3c1",
+    ("prune", "36"):
+        "e74dd56bd5abee8b8a20e87c9abd4331da3e92942760cf2215d5376ae2df254a",
+}
+
+
 @pytest.mark.parametrize("argv", sorted(PARENT_SEARCH_JSON_SHA256))
 def test_search_and_classify_json_match_parent_output(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PARENT_SEARCH_JSON_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PARENT_RULE_PRUNE_SHA256))
+def test_rule_and_prune_match_parent_output(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PARENT_RULE_PRUNE_SHA256[argv]
 
 
 # sha256 of the stdout of `verify <row> --format json` at commit b96c218,
@@ -390,11 +414,10 @@ def test_rule_searches_every_base_order_of_every_surviving_pair(capsys):
 
 
 def test_rule_terms_count_the_classes_at_every_odd_order(capsys):
+    """The payload's terms are the library's; acceptance criterion 12
+    checks those against the class count at every odd n <= 2001."""
     terms = _rule_payload(capsys)["terms"]
-    assert terms == [[b, c] for b, c in sorted(RULE_TERMS.items())]
-    for n in range(1, 2002, 2):
-        expected = full_classification(16, n).count
-        assert sum(c for b, c in terms if n % b == 0) == expected, n
+    assert terms == [[b, c] for b, c in classification_rule(16, 2)]
 
 
 def test_rule_text_ends_with_the_rule_and_out_writes_the_payload(capsys, tmp_path):
@@ -424,12 +447,12 @@ def test_rule_refuses_a_weight_it_cannot_handle(capsys, weight, message):
     assert run(capsys, "rule", weight) == (2, "", f"error: {message}\n")
 
 
-def test_rule_requires_base_orders_closed_under_lcm(capsys, monkeypatch):
+def test_rule_requires_base_orders_closed_under_lcm(monkeypatch):
     """The terms are exact only if the lcm of two base orders is one."""
     pair = OlpPair(Olp.from_string("1^1 3^1 6^1"), Olp.from_string("6^1"))
-    monkeypatch.setattr("cwmat.cli._rule_pairs", lambda weight, t: ((pair, (21, 31)),))
-    with pytest.raises(RuntimeError, match="not closed under lcm"):
-        run(capsys, "rule", "16")
+    monkeypatch.setattr("cwmat.search._rule_pairs", lambda weight, t: ((pair, (21, 31)),))
+    with pytest.raises(RuntimeError, match=r"base orders \[21, 31\] are not closed under lcm"):
+        classification_rule(16, 2)
 
 
 def test_classify_orders(capsys):

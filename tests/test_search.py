@@ -21,6 +21,7 @@ from cwmat import (
     are_equivalent,
     base_orders,
     canonical_form,
+    classification_rule,
     describing_sets,
     exhaustive_search,
     feasible_pairs,
@@ -681,6 +682,37 @@ def test_derived_rule_matches_the_search_at_t_3_at_every_order(weight, t, orders
         found = _search_all_pairs(n, weight, t)
         assert (len(found) > 0) == (n % base == 0), f"n={n}"
         assert sorted(reps) == found, f"n={n}"
+
+
+@pytest.mark.parametrize(
+    "weight,t,terms",
+    [
+        (16, 2, {21: 1, 31: 2, 63: 1}),
+        (4, 2, {7: 1}),
+        (4, 3, {4: 1}),
+        (9, 3, {13: 2, 26: 2}),
+        (9, 2, {}),
+    ],
+)
+def test_classification_rule_is_the_moebius_inversion_of_the_class_counts(weight, t, terms):
+    """Oracle: with f(d) the classes at every n with gcd(n, M) = d, the
+    terms are the nonzero sums of mu(b/e) f(e) over e | b, for b | M."""
+    assert classification_rule(weight, t) == sorted(terms.items())
+    divs = divisors(_host_modulus(weight, t))
+    primes: list[int] = []
+    for d in divs[1:]:  # the least divisor that no earlier prime divides is prime
+        if all(d % p for p in primes):
+            primes.append(d)
+
+    def mu(k: int) -> int:
+        if any(k % (p * p) == 0 for p in primes):
+            return 0
+        return (-1) ** sum(k % p == 0 for p in primes)
+
+    count = {d: len(_rule_bases(weight, t, d)) for d in divs}
+    inverted = {b: sum(mu(b // e) * count[e] for e in divs if b % e == 0) for b in divs}
+    assert {b: c for b, c in inverted.items() if c} == terms
+
 
 
 def _classes_up_to_negation(rows) -> dict[CirculantRow, tuple[CirculantRow, ...]]:
