@@ -38,6 +38,7 @@ from .pruning import (
 )
 from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
 from .search import (
+    MAX_CLASSIFY_CHARS,
     SearchReport,
     SearchSpec,
     _rule_pairs,
@@ -309,12 +310,6 @@ def cmd_rule(args) -> int:
         "terms": [[b, c] for b, c in terms],
     }
     return _emit(args, payload, lines)
-
-
-# Most sign characters the classes that classify lists may hold, one per
-# entry of each class row; each entry is held as a coefficient before any is
-# printed. The first --max-n over it at weight 16 is 32395.
-MAX_CLASSIFY_CHARS = 2**25
 
 
 def cmd_classify(args) -> int:

@@ -12,7 +12,8 @@ x -> x^t with gcd(t, n) = 1: the witness (s, t) sends the coefficient
 at index i to index t*i + s (mod n). Negation is deliberately NOT part
 of equivalence. A row of weight k is read through its k support indices
 wherever the work allows: the shifts that carry one row onto another are
-read off the supports, in O(k^2) per unit rather than O(n).
+read off the supports, in O(k) per candidate shift and unit rather than
+O(n), with gcd(r, n) candidates for r entries of one sign.
 
 Conventions:
   sign strings: '-', '0', '+' read left to right as w_0 .. w_{n-1},
@@ -100,7 +101,16 @@ def from_sets(n: int, P, N) -> CirculantRow:
         coeffs[i] = 1
     for i in N:
         coeffs[i] = -1
-    return CirculantRow(n, tuple(coeffs))
+    return _checked_row(n, coeffs, sorted(P | N))
+
+
+def _checked_row(n: int, coeffs: list[int], support) -> CirculantRow:
+    """The row of n coefficients over {-1, 0, +1} that a caller has already
+    checked, with its support (its nonzero indices, ascending), built
+    without validating them again."""
+    row = tuple.__new__(CirculantRow, (n, tuple(coeffs)))
+    row.__dict__["support"] = tuple(support)
+    return row
 
 
 def _checked_sets(n: int, P, N) -> tuple[frozenset[int], frozenset[int]]:
@@ -185,13 +195,16 @@ def apply_transform(row: CirculantRow, witness: EquivalenceWitness) -> Circulant
 
 
 def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:
-    """All s with x^s * row(x^t) = target, ascending, read off the supports.
+    """All s with x^s * row(x^t) = target, ascending, for a unit t, read off
+    the supports.
 
-    The anchor j is the first index of the target's rarer sign (of the
-    signs it has). A matching s sends some index i of row with that sign
-    onto j: s = j - t*i. Each of these candidates is checked on the k
-    (index, sign) pairs of row, so a unit t costs O(k^2), not O(n). A
-    zero row matches the zero row at every shift.
+    A matching s sends the r indices R of row with an anchor sign onto the
+    indices T of target with that sign, so it solves
+    r*s = sum(T) - t*sum(R) (mod n), which leaves gcd(r, n) candidates;
+    the anchor is the sign of target whose count has the least gcd with n.
+    Each candidate is checked on the k (index, sign) pairs of row, so a
+    unit t costs O(k), not O(n). A zero row matches the zero row at every
+    shift.
     """
     n, c, tc = row.n, row.coeffs, target.coeffs
     support = row.support
@@ -199,15 +212,22 @@ def _shifts(row: CirculantRow, t: int, target: CirculantRow) -> list[int]:
         return []
     if not support:
         return list(range(n))
-    j = min(filter(None, target._signs.values()), key=len)[0]
-    shifts = []
+    sign = min((s for s in (1, -1) if target._signs[s]), key=lambda s: gcd(len(target._signs[s]), n))
+    R, T = row._signs[sign], target._signs[sign]
+    r = len(T)
+    if len(R) != r:
+        return []
+    d = gcd(r, n)
+    rhs = (sum(T) - t * sum(R)) % n
+    if rhs % d:
+        return []
+    step = n // d
     last = support[-1]  # tried first, inline: most candidates fail on it
-    for i in row._signs[tc[j]]:
-        s = (j - t * i) % n
-        if tc[(t * last + s) % n] == c[last] and all(tc[(t * m + s) % n] == c[m] for m in support):
-            shifts.append(s)
-    shifts.sort()
-    return shifts
+    return [
+        s
+        for s in range(rhs // d * pow(r // d, -1, step) % step, n, step)
+        if tc[(t * last + s) % n] == c[last] and all(tc[(t * m + s) % n] == c[m] for m in support)
+    ]
 
 
 def multiplier_shift(row: CirculantRow, t: int) -> int | None:
@@ -260,9 +280,11 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     loses at its first byte. row(x^t) has the same entries as row, so
     the only starts worth trying are the images t*i of the positions i
     holding the least coefficient of the row: its -1 entries if it has
-    any, else its 0 entries, else every entry. Equal windows are equal
-    rows, so the order in which starts are tried does not matter, and the
-    least window, read back as coefficients, is the form.
+    any (read off the signed support), else its 0 entries, else every
+    entry. Equal windows are equal rows, so the order in which starts are
+    tried does not matter. The least window, at start p of the image by
+    t, is the form: index i of row moves to t*i - p, so the form is
+    rebuilt from the support.
 
     multiplier is a unit m that may fix the row up to a shift. If it
     does, row(x^m) = x^s * row, then row(x^(u*m)) = x^(s*u) * row(x^u):
@@ -274,8 +296,10 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
     n, coeffs, support = row.n, row.coeffs, row.support
     fixed = multiplier is not None and multiplier_shift(row, multiplier) is not None
     scanned = _coset_leaders(n, multiplier) if fixed else units(n)
-    least = min(coeffs)
-    starts = [i for i, c in enumerate(coeffs) if c == least]
+    starts = row._signs[-1]
+    if not starts:
+        least = min(coeffs)
+        starts = [i for i, c in enumerate(coeffs) if c == least]
     best: bytes | None = None
     for t in scanned:
         image = bytearray(b"\1") * n
@@ -286,6 +310,9 @@ def canonical_form(row: CirculantRow, multiplier: int | None = None) -> Circulan
             p = t * i % n
             cand = doubled[p : p + n]
             if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return CirculantRow(n, [c - 1 for c in best])
+                best, best_t, best_p = cand, t, p
+    # the least window, rebuilt from the support: index i moves to t*i - p
+    form = [0] * n
+    for i in support:
+        form[(best_t * i - best_p) % n] = coeffs[i]
+    return _checked_row(n, form, sorted((best_t * i - best_p) % n for i in support))

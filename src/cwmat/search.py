@@ -6,10 +6,11 @@ space is the set of assignments of distinct orbits to parts. Orbits of
 equal length within one side are interchangeable (combinations, not
 permutations); the two sides are ordered. Each assignment is carried as
 two bitmasks, the ORs of one mask per chosen orbit, and checked by the
-autocorrelation kernel of rows (_weighing), with no row built. As t
-fixes P and N, the autocorrelation is constant on each orbit {+-t^j s}
-of lags, so one lag per orbit is tested. A hit is built into a row only
-when it opens a new class, and each hit is also checked against the
+autocorrelation kernel of rows (_weighing), with no row built, at the
+pair's contraction order (see below). As t fixes P and N, the
+autocorrelation is constant on each orbit {+-t^j s} of lags, so one lag
+per orbit is tested. A hit is built into a row only when it opens a new
+class of unit images, and each hit is also checked against the
 difference-multiset equation, an independent formulation, so a
 disagreement between the two fails loudly.
 
@@ -28,9 +29,27 @@ length divides ell (those with (t^ell - 1)*x = 0) and commutes with
 x -> t*x, so Z_n and Z_g have the same orbits of length ell, up to the
 factor n/g, which keeps their order. A count is thus found once per
 (g, ell), an orbit list is listed once per (g, ell) and scaled to each n,
-and the orbit masks are built once per (n, ell), shared by the pairs
-searched at n. An order at which no pair is hosted and the rule predicts
+and the orbit masks are built once per (G, ell), shared by the pairs
+searched at G. An order at which no pair is hosted and the rule predicts
 no class builds no search at all.
+
+A pair is searched once per contraction order G, the lcm of
+g_ell = gcd(n, t^ell - 1) over the lengths ell it uses, which divides n.
+Every orbit the pair can use lies in H = (n/G)*Z_n, a copy of Z_G, so the
+assignments, the kernel on G-bit masks, the equation check and the
+unit-image bookkeeping run once per (pair, weight, t, G), and the search
+at n lifts the hits by n/G and canonicalizes them at n. This is exact:
+(a) gcd(G, t^ell - 1) = g_ell, which divides G, so x -> (n/G)*x carries
+the orbits of Z_G, their order and the lead orbits of Z_G (see below)
+onto those of Z_n: a lead's least element e divides G exactly when
+(n/G)*e divides n. The tested assignments are thus the same, scaled.
+(b) A row supported in H has autocorrelation 0 at every lag outside H,
+which no two support indices differ by; at a lag (n/G)*s in H it equals
+the autocorrelation of its contraction to Z_G at s. The difference
+multiset behaves the same way, so the kernel and the equation check give
+at G the verdicts they would give at n. (c) U(n) -> U(G) is onto (CRT),
+and a unit u acts on H as u mod G acts on Z_G, so the unit-image dedup
+at G skips exactly the hits that the dedup at n would skip.
 
 base_orders computes, per part length with multiplicity, which moduli
 can host enough orbits of that length; the lcms of one choice per length
@@ -46,19 +65,23 @@ a period of the support, and no odd-order subgroup tiles 16 points),
 which keeps the olp, so classes of different pairs never merge. The
 classes at n are thus, pair by pair, the lifts of the classes at d; as
 base orders divide M, the rule too is found once per g. For small orders
-the answer is re-derived by searching every pair that Z_n can host from
-scratch. It canonicalizes once per class, not per row: a new hit (a
-union of t-orbits, so one unit per coset of <t> in U(n) is scanned)
-records its images row(x^u), u a coset leader, under its form, and a
-later hit among them needs no call. The cross-check merges the per-pair
-classes by their canonical representatives and compares them, sorted,
-with the sorted rule representatives in one step, as rows. The rule's
-lifts need no canonicalizing of their own: a lift L = lift(r, m) of a
-canonical row r with a -1 entry is canonical. Every row equivalent to L
-has its support in one coset s + mZ_n; a least one has -1 at index 0,
-so that coset is mZ_n, and rows on mZ_n compare as their contractions.
-Those contractions are the rows equivalent to r, as U(n) maps onto
-U(n/m), so the least is r and the least row equivalent to L is L.
+the cross-check re-derives the answer: it searches every pair that Z_n
+can host, not only the pairs that survive pruning, and canonicalizes
+every class it finds at n itself; only each pair's enumeration at its
+contraction order is shared with the rule and with other orders. It
+canonicalizes once per class of unit images, not per row: a hit (a union
+of t-orbits, so one unit per coset of <t> in U(G) is scanned) is kept
+only if no image x -> u*x, u a coset leader, of an earlier kept hit
+holds it, and only kept hits are lifted and canonicalized. The
+cross-check merges the per-pair classes by their canonical
+representatives and compares them, sorted, with the sorted rule
+representatives in one step, as rows. The rule's lifts need no
+canonicalizing of their own: a lift L = lift(r, m) of a canonical row r
+with a -1 entry is canonical. Every row equivalent to L has its support
+in one coset s + mZ_n; a least one has -1 at index 0, so that coset is
+mZ_n, and rows on mZ_n compare as their contractions. Those
+contractions are the rows equivalent to r, as U(n) maps onto U(n/m), so
+the least is r and the least row equivalent to L is L.
 
 Every search tests one assignment per unit class, not every
 assignment. A unit u commutes with x -> t*x, so x -> u*x maps a union of
@@ -118,12 +141,20 @@ from .rows import (
 # docstring). Weight-16, t = 2 pairs need at most 891; t = +-1 (mod n) needs up to
 # about 2.9e18 (1^10, 1^6 at n = 63).
 MAX_ASSIGNMENTS = 10**6
-# Most bits of orbit masks one search may hold: one n-bit integer per orbit of
-# each length the pair uses, 128 MiB in all. The weight-16 base searches hold at
-# most 4095 bits (n = 315), the cross-check's at odd n <= 10001 at most 975942
-# (n = 9207); (1^1 20^1, 2^1 4^2 5^1) at n = 2^20 - 1 would hold 52388 masks,
-# about 6.4 GiB.
+# Most bits of orbit masks one search may hold, counted at n: one n-bit integer
+# per orbit of each length the pair uses, 128 MiB in all. The search holds masks
+# of G bits, G the pair's contraction order, a divisor of n (see the module
+# docstring), so the count bounds them. The weight-16 base searches hold at most
+# 4095 bits (n = G = 315), the cross-check's at odd n <= 10001 at most 737583
+# (n = G = 7161; at n = 9207, 975942 bits counted at n, G = 1023);
+# (1^1 20^1, 2^1 4^2 5^1) at n = G = 2^20 - 1 would hold 52388 masks, about
+# 6.4 GiB.
 MAX_MASK_BITS = 2**30
+# Most sign characters the classes of one classification, or of all those
+# that cwmat classify lists, may hold, one per entry of each class row; each
+# entry is held as a coefficient before any is printed. The first --max-n
+# over it at weight 16 is 32395.
+MAX_CLASSIFY_CHARS = 2**25
 
 
 def check_olp_sums(weight: int, sums: tuple[int, int]) -> None:
@@ -256,16 +287,42 @@ def _scan(spec: SearchSpec) -> dict[CirculantRow, tuple]:
     representative, from one assignment per unit class (see _levels).
 
     Orbits are listed only when the closed-form counts show that Z_n
-    hosts the pair. Every tested assignment goes through the kernel, and
-    every hit through the difference-multiset equation: RuntimeError if
-    the two disagree. A hit is built into a row and canonicalized only
-    if no earlier hit's unit images hold it.
+    hosts the pair. The hits are enumerated once per contraction order
+    G = lcm(gcd(n, t^ell - 1)) over the pair's lengths ell (see _hits and
+    the module docstring); each is lifted by n/G, built into a row at n
+    and canonicalized there.
     """
     n, t = spec.n, spec.t
     if spec.assignment_count == 0:
         return {}
-    canon: dict[tuple[int, int], CirculantRow] = {}  # masks of a row(x^u) -> its canonical form
+    G = lcm(*(gcd(n, pow(t, ell, n) - 1) for ell, _, _ in _pair_lengths(spec.pair)))
+    m = n // G
     first: dict[CirculantRow, tuple] = {}
+    # _replace skips SearchSpec's checks, which the spec at n has passed
+    for P, N in _hits(spec._replace(n=G)):
+        if m > 1:
+            P, N = tuple([m * x for x in P]), tuple([m * x for x in N])
+        row = from_sets(n, P, N)
+        first.setdefault(canonical_form(row, multiplier=t), (P, N, row))
+    return first
+
+
+# One entry per (pair, G): G divides the lcm of t^ell - 1 over the pair's
+# lengths, so a pair has finitely many; an entry holds only its hits.
+@lru_cache(maxsize=None)
+def _hits(spec: SearchSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The first hit (P, N) of each unit-image class, in the order of the
+    assignments, of a pair that Z_n hosts, where n = spec.n is the pair's
+    contraction order G; found once per spec.
+
+    Every tested assignment goes through the kernel, and every hit through
+    the difference-multiset equation: RuntimeError, naming this n, if the
+    two disagree. A hit is kept only if no earlier kept hit's unit images
+    hold it.
+    """
+    n, t = spec.n, spec.t
+    images: set[tuple[int, int]] = set()  # masks of each row(x^u) of a kept hit
+    hits = []
     for pm, nm, P, N in _assignments(_levels(spec)):
         if not _weighing(n, P + N, pm, nm, t):
             continue
@@ -274,14 +331,11 @@ def _scan(spec: SearchSpec) -> dict[CirculantRow, tuple]:
                 f"autocorrelation and the difference-multiset equation disagree "
                 f"at n={n} on {from_sets(n, P, N).to_string()}"
             )
-        if (pm, nm) not in canon:
-            row = from_sets(n, P, N)
-            rep = canonical_form(row, multiplier=t)
-            first.setdefault(rep, (P, N, row))
+        if (pm, nm) not in images:
+            hits.append((P, N))
             for u in _coset_leaders(n, t):
-                image = sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)
-                canon[image] = rep
-    return first
+                images.add((sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)))
+    return tuple(hits)
 
 
 def _class_representatives(spec: SearchSpec) -> list[CirculantRow]:
@@ -557,7 +611,8 @@ def full_classification(
     to be exactly the sorted rule representatives, which are canonical
     (see the module docstring). On any mismatch it raises RuntimeError
     naming the representatives that match nothing on the other side,
-    then both sides.
+    then both sides. Before any lift, it raises ValueError if the classes
+    would hold more than MAX_CLASSIFY_CHARS sign characters.
     """
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
@@ -565,7 +620,13 @@ def full_classification(
     # The multiplier premise: for weight 16 and odd n, 2 is a multiplier.
     t = 2
     g = gcd(n, _host_modulus(weight, t))
-    reps = [lift(r, n // r.n) for r in _rule_bases(weight, t, g)]
+    bases = _rule_bases(weight, t, g)
+    if len(bases) * n > MAX_CLASSIFY_CHARS:
+        raise ValueError(
+            f"the {len(bases)} classes at n={n} hold {len(bases) * n} sign characters, "
+            f"over the bound of {MAX_CLASSIFY_CHARS}"
+        )
+    reps = [lift(r, n // r.n) for r in bases]
     if cross_check is None:
         cross_check = n <= 105
     # with no class predicted and no pair hosted, the search would find none

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -293,6 +294,21 @@ def test_canonical_form_matches_brute_force(r):
     assert canonical_form(r) == _brute_force_canonical(r)
 
 
+@given(rows(max_n=12), st.sampled_from((None, 2, 3)))
+def test_rows_built_from_checked_sets_know_their_support(r, multiplier):
+    """from_sets and canonical_form skip re-validating the coefficients
+    and carry the support they know: both equal a row built and read
+    from its coefficients alone."""
+    built = [from_sets(r.n, *describing_sets(r))]
+    if multiplier is None or math.gcd(multiplier, r.n) == 1:
+        built.append(canonical_form(r, multiplier=multiplier))
+    for row in built:
+        fresh = CirculantRow(row.n, list(row.coeffs))
+        assert (row, type(row.coeffs), row.support, row._signs) == (
+            fresh, tuple, fresh.support, fresh._signs
+        )
+
+
 # Rows without a -1 entry: the least rotation then starts at a 0, or anywhere.
 @given(rows(max_n=12, coeffs=(0, 1)))
 def test_canonical_form_matches_brute_force_without_minus(r):
@@ -445,6 +461,24 @@ def test_shifts_match_a_scan_over_every_shift(case):
     r, t, target = case
     expected = [s for s in range(r.n) if apply_transform(r, EquivalenceWitness(s, t)) == target]
     assert _shifts(r, t, target) == expected
+
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shifts_of_every_row_match_a_scan_over_every_shift(n):
+    """Every row of order n <= 6, every unit t, and as target every image
+    of the row under a witness: among them periodic rows, whose sign
+    counts share a factor with n, so several candidate shifts solve the
+    index-sum congruence and each must be checked."""
+    for coeffs in itertools.product((-1, 0, 1), repeat=n):
+        r = CirculantRow(n, coeffs)
+        images = {
+            t: [apply_transform(r, EquivalenceWitness(s, t)) for s in range(n)] for t in _units(n)
+        }
+        for target in {image for moved in images.values() for image in moved}:
+            for t, moved in images.items():
+                expected = [s for s in range(n) if moved[s] == target]
+                assert _shifts(r, t, target) == expected, (r.to_string(), t, target.to_string())
 
 
 # The weight-16 class representatives at n = 31, 63 and 93.

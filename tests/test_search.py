@@ -44,6 +44,7 @@ from cwmat.search import (
     _assignment_count,
     _assignments,
     _class_representatives,
+    _hits,
     _host_modulus,
     _hosted_pairs,
     _levels,
@@ -265,6 +266,7 @@ def test_search_builds_rows_only_for_hits(monkeypatch):
 
 def test_search_confirms_each_hit_by_the_difference_multiset_equation(monkeypatch):
     monkeypatch.setattr("cwmat.search.cw_equation_holds", lambda P, N, n: False)
+    _hits.cache_clear()  # hits that earlier searches cached would skip the check
     with pytest.raises(RuntimeError, match=r"disagree at n=31 on [-+0]{31}$"):
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
 
@@ -364,27 +366,30 @@ def test_search_canonicalizes_once_per_class(monkeypatch, spec):
 )
 def test_search_verdicts_match_every_lag(monkeypatch, n, weight, t, pairs):
     """Every candidate the search tests (each cross pair, or the listed
-    ones) gets the verdict of the autocorrelation at all n - 1 lags. The
-    kernel sees one assignment per unit class, so at most every
-    assignment and at most every solution."""
+    ones) gets the verdict of the autocorrelation at every nonzero lag of
+    the order the kernel was given, the pair's contraction order, which
+    divides n. The kernel sees one assignment per unit class, so at most
+    every assignment and at most every solution."""
     verdicts = []
 
     def recorded(n_, support, pm, nm, t_):
         verdict = _weighing(n_, support, pm, nm, t_)
-        verdicts.append((pm, nm, verdict))
+        verdicts.append((n_, pm, nm, verdict))
         return verdict
 
     monkeypatch.setattr("cwmat.search._weighing", recorded)
+    _hits.cache_clear()  # hits that earlier searches cached would skip the kernel
     tested = hits = 0
     for pair in pairs or cross_pairs(weight, t):
         report = exhaustive_search(SearchSpec(n, weight, t, pair))
         tested += report.candidates_tested
         hits += len(report.solutions)
     assert 0 < len(verdicts) <= tested
-    assert 0 < sum(v for _, _, v in verdicts) <= hits
-    for pm, nm, verdict in verdicts:
-        row = from_sets(n, _bits(pm, n), _bits(nm, n))
-        expected = all(periodic_autocorrelation(row, s) == 0 for s in range(1, n))
+    assert 0 < sum(v for _, _, _, v in verdicts) <= hits
+    for n_, pm, nm, verdict in verdicts:
+        assert n % n_ == 0
+        row = from_sets(n_, _bits(pm, n_), _bits(nm, n_))
+        expected = all(periodic_autocorrelation(row, s) == 0 for s in range(1, n_))
         assert verdict == expected, row.to_string()
 
 
@@ -534,6 +539,48 @@ def test_one_assignment_per_unit_class_keeps_every_class(weight, t, orders):
     assert found > 0
 
 
+
+def _contraction_order(spec: SearchSpec) -> int:
+    """G = lcm(gcd(n, t^ell - 1)) over the lengths ell the pair uses."""
+    n, _, t, pair = spec
+    return lcm(*(gcd(n, t**ell - 1) for ell, _, _ in _pair_lengths(pair)))
+
+
+@pytest.mark.parametrize(
+    "specs,least",
+    [(_hosted_specs(16, 2, [n]), g) for n, g in ((155, 31), (341, 31), (405, 45), (765, 45), (1309, 77))]
+    + [
+        ([SearchSpec(35, 4, 2, _pair("3^1", "1^1"))], 7),
+        ([SearchSpec(52, 9, 3, _pair("3^2", "3^1"))], 26),
+    ],
+)
+def test_a_search_lifted_from_its_contraction_order_matches_the_oracle(specs, least):
+    """The search enumerates each pair at its contraction order G and lifts
+    the hits to n; its report equals the oracle's full enumeration at n
+    for every pair hosted at orders where some G is below n."""
+    assert min(_contraction_order(spec) for spec in specs) == least < specs[0].n
+    for spec in specs:
+        assert search_oracle.report_of(exhaustive_search(spec)) == _oracle(spec), str(spec.pair)
+
+
+def test_classifications_enumerate_a_pair_once_per_contraction_order(monkeypatch):
+    """(5^2, 1^1 5^1) has contraction order 31 at every order below, so the
+    rule and the cross-checks of all five enumerate its assignments once."""
+    pair = _pair("5^2", "1^1 5^1")
+    enumerated = []
+
+    def recorded(spec):
+        enumerated.append(spec)
+        return _levels(spec)
+
+    monkeypatch.setattr("cwmat.search._levels", recorded)
+    _hits.cache_clear()
+    for n in (31, 93, 155, 279, 341):
+        result = full_classification(16, n, cross_check=True)
+        assert (result.count, result.cross_checked) == (2, True)
+    assert [spec.n for spec in enumerated if spec.pair == pair] == [31]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -610,6 +657,7 @@ def test_one_assignment_per_unit_class_tests_fewer_assignments(monkeypatch):
         return _weighing(*args)
 
     monkeypatch.setattr("cwmat.search._weighing", counted)
+    _hits.cache_clear()
     specs = _hosted_specs(16, 2, [315])
     assert sum(spec.assignment_count for spec in specs) == 666
     assert len(_search_all_pairs(315, 16)) == 2
@@ -803,10 +851,10 @@ def _hosted_lengths(n: int) -> set[int]:
 
 
 def test_one_orders_orbit_tables_fit_their_cache():
-    """The cross-check at n lists the orbit tables of every length its
-    hosted pairs use: at odd n <= 10001 at most 7, first at n = 3255, so
-    _orbit_table's 8 entries hold one order's tables; 8 first occur at
-    n = 55335."""
+    """The pairs the cross-check at n searches use at most 7 lengths at
+    odd n <= 10001, first at n = 3255, and 8 first at n = 55335.
+    _orbit_table keeps 8 entries: the search lists a pair's tables once
+    per (pair, contraction order), as its hits are cached."""
     lengths = {n: len(_hosted_lengths(n)) for n in range(1, 55336, 2)}
     assert max(lengths[n] for n in range(1, 10002, 2)) == 7
     assert min(n for n, count in lengths.items() if count == 7) == 3255
@@ -842,6 +890,7 @@ def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
 
     monkeypatch.setattr("cwmat.orbits._orbits_at", record)
     _orbit_table.cache_clear()
+    _hits.cache_clear()
     for n in (21, 31, 45, 63, 93, 105, 315, 341):
         full_classification(16, n, cross_check=True)
     assert seen and seen <= requested
@@ -1067,6 +1116,28 @@ def test_a_hosting_fault_does_not_reach_the_rule(monkeypatch, fresh_rule):
     named = ", ".join(r.to_string() for r in reps)
     assert f"rule representatives with no search class: [{named}]" in str(exc.value)
     assert "search classes with no rule representative: [none]" in str(exc.value)
+
+
+def test_full_classification_refuses_classes_over_its_character_bound(monkeypatch):
+    """The classes are bounded before any is lifted: at n = 420000021
+    (63 | n) two classes would hold 840000042 sign characters."""
+
+    def refuse(row, m):
+        raise AssertionError("lifted a class over the bound")
+
+    monkeypatch.setattr("cwmat.search.lift", refuse)
+    with pytest.raises(
+        ValueError,
+        match="^the 2 classes at n=420000021 hold 840000042 sign characters, "
+        "over the bound of 33554432$",
+    ):
+        full_classification(16, 420000021, cross_check=False)
+    monkeypatch.undo()
+    # two classes of 31 entries fit a bound of 62, those of 93 do not
+    monkeypatch.setattr("cwmat.search.MAX_CLASSIFY_CHARS", 62)
+    assert full_classification(16, 31).count == 2
+    with pytest.raises(ValueError, match="the 2 classes at n=93 hold 186 sign characters"):
+        full_classification(16, 93)
 
 
 def test_full_classification_validates():
