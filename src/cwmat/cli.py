@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 the verified row is not a weighing row,
 2 usage or parse error, an --out FILE that cannot be written (found
 before any work; FILE is replaced only by a complete payload), or a
 standard output closed by its reader (--out FILE, written first, is
-then complete).
+then complete). A command refuses its input, or a cost bound, by
+raising ValueError, as the library does; _run turns it into one
+"error:" line on stderr and exit 2.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .pruning import (
 )
 from .rows import CirculantRow, describing_sets, multiplier_shift, verify_cw
 from .search import (
+    CLASSIFIED_MULTIPLIER,
     MAX_CLASSIFY_CHARS,
     SearchReport,
     SearchSpec,
@@ -128,19 +131,16 @@ def _stage(path: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        row = CirculantRow.from_string(args.row)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    row = CirculantRow.from_string(args.row)
     t = 2 if args.multiplier is None else args.multiplier
     if t < 2:  # as prune and search refuse it
-        return _usage_error(f"multiplier base must be at least 2, got {t}")
+        raise ValueError(f"multiplier base must be at least 2, got {t}")
     try:  # x -> t*x permutes Z_n only for a unit t
         ctx = ModulusContext(row.n, t)
         no_olp = f"none (not a union of {t}-orbits)"
     except ValueError as exc:
         if args.multiplier is not None:
-            return _usage_error(str(exc))
+            raise
         ctx, no_olp = None, f"none ({exc})"  # the default t = 2 at an even order
     payload, olp_p, olp_n = _row_payload(row, ctx)
     mults = []
@@ -180,10 +180,7 @@ def _witness_json(w) -> dict:
 
 
 def cmd_prune(args) -> int:
-    try:
-        pairs = feasible_pairs(args.weight, args.multiplier)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    pairs = feasible_pairs(args.weight, args.multiplier)
     reports = prune(pairs, level=args.level, t=args.multiplier)
 
     total = len(reports)
@@ -267,25 +264,19 @@ def _search_output(report: SearchReport) -> tuple[dict, list[str]]:
 
 def cmd_search(args) -> int:
     texts = (args.olpP, args.olpN)
-    try:
-        # the sums from the tokens first: a part list is as long as its sum
-        sums = tuple(sum(ell * m for ell, m in olp_tokens(text)) for text in texts)
-        check_olp_sums(args.weight, sums)
-        pair = OlpPair(*map(Olp.from_string, texts))
-        spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    # the sums from the tokens first: a part list is as long as its sum
+    sums = tuple(sum(ell * m for ell, m in olp_tokens(text)) for text in texts)
+    check_olp_sums(args.weight, sums)
+    pair = OlpPair(*map(Olp.from_string, texts))
+    spec = SearchSpec(args.n, args.weight, args.multiplier, pair)
     payload, lines = _search_output(exhaustive_search(spec))
     return _emit(args, payload, lines)
 
 
 def cmd_rule(args) -> int:
     """The searches behind classification_rule, and its terms."""
-    t = 2  # the multiplier premise of full_classification
-    try:  # before any line is built, so a refused weight prints nothing else
-        terms = classification_rule(args.weight, t)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    t = CLASSIFIED_MULTIPLIER
+    terms = classification_rule(args.weight, t)  # first: a refused weight runs no search
 
     pairs, lines = [], [f"weight {args.weight}, t={t}"]
     for pair, orders in _rule_pairs(args.weight, t):
@@ -313,19 +304,16 @@ def cmd_rule(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        check_classified_weight(args.weight)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    check_classified_weight(args.weight)
     if args.max_n < 1:
-        return _usage_error(f"--max-n must be at least 1, got {args.max_n}")
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     results, chars = [], 0
     for n in range(1, args.max_n + 1, 2):
         res = full_classification(args.weight, n)
         if res.count:
             chars += res.count * n
             if chars > MAX_CLASSIFY_CHARS:
-                return _usage_error(
+                raise ValueError(
                     f"the classes at odd n <= {n} hold {chars} sign characters, "
                     f"over the bound of {MAX_CLASSIFY_CHARS}"
                 )
@@ -434,16 +422,19 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    if not args.out:
-        return args.func(args)
-    try:  # before any work, so an unwritable --out fails at once
-        args.staged_out = _stage(args.out)
-    except OSError as exc:
-        return _out_error(args.out, exc)
+    """args.func(args), the one place a refused input becomes exit 2; with
+    --out, its staged file is made first and removed after."""
+    if args.out:
+        try:  # before any work, so an unwritable --out fails at once
+            args.staged_out = _stage(args.out)
+        except OSError as exc:
+            return _out_error(args.out, exc)
     try:
         return args.func(args)
+    except ValueError as exc:  # a command's refusal of its input
+        return _usage_error(str(exc))
     finally:
-        if os.path.exists(args.staged_out):
+        if args.out and os.path.exists(args.staged_out):
             os.unlink(args.staged_out)
 
 

@@ -108,15 +108,9 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
 _orbits_at = lru_cache(maxsize=64)(orbits_of_length)
 
 
-# Bounded: it holds n-bit masks. A search asks for the tables of its pair at the
-# pair's contraction order G (see search), once per (pair, G), as its hits are
-# cached there, so an evicted table is listed again only for a later pair with
-# the same (G, ell): over odd n <= 2001 the weight-16 cross-check misses 111
-# times in 212 calls.
-@lru_cache(maxsize=8)
 def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """(the orbits of length ell in Z_n as orbits_of_length lists them, and
-    their masks, bit x for residue x), once per (n, t, ell); read only.
+    their masks, bit x for residue x).
 
     With g = gcd(n, t^ell - 1), x -> (n/g)*x maps Z_g onto the residues of
     Z_n whose orbit length divides ell and commutes with x -> t*x, so the

@@ -29,9 +29,9 @@ length divides ell (those with (t^ell - 1)*x = 0) and commutes with
 x -> t*x, so Z_n and Z_g have the same orbits of length ell, up to the
 factor n/g, which keeps their order. A count is thus found once per
 (g, ell), an orbit list is listed once per (g, ell) and scaled to each n,
-and the orbit masks are built once per (G, ell), shared by the pairs
-searched at G. An order at which no pair is hosted and the rule predicts
-no class builds no search at all.
+and the orbit masks are built once per (pair, G), G the pair's
+contraction order (below). An order at which no pair is hosted and the
+rule predicts no class builds no search at all.
 
 A pair is searched once per contraction order G, the lcm of
 g_ell = gcd(n, t^ell - 1) over the lengths ell it uses, which divides n.
@@ -590,6 +590,11 @@ def _search_all_pairs(n: int, weight: int, t: int = 2) -> list[CirculantRow]:
     })
 
 
+# The multiplier premise of full_classification: for weight 16 and odd n,
+# 2 is a multiplier.
+CLASSIFIED_MULTIPLIER = 2
+
+
 def check_classified_weight(weight: int) -> None:
     """Raise ValueError unless full_classification covers this weight."""
     if weight != 16:
@@ -617,8 +622,7 @@ def full_classification(
     check_classified_weight(weight)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {n}")
-    # The multiplier premise: for weight 16 and odd n, 2 is a multiplier.
-    t = 2
+    t = CLASSIFIED_MULTIPLIER
     g = gcd(n, _host_modulus(weight, t))
     bases = _rule_bases(weight, t, g)
     if len(bases) * n > MAX_CLASSIFY_CHARS:

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import json
 import os
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwmat import (
     CirculantRow,
@@ -653,3 +657,85 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("cwmat.cli.cw_equation_holds", ["verify", KNOWN_CW_7_4]),
+        ("cwmat.cli.prune", ["prune", "16"]),
+        ("cwmat.cli.exhaustive_search", ["search", "31", "16", "5^2", "1^1 5^1"]),
+        ("cwmat.cli._rule_pairs", ["rule", "16"]),
+        ("cwmat.cli.full_classification", ["classify", "16", "--max-n", "21"]),
+    ],
+    ids=["verify", "prune", "search", "rule", "classify"],
+)
+def test_a_refusal_from_any_library_call_is_one_error_line(
+    capsys, monkeypatch, tmp_path, target, argv
+):
+    """A ValueError raised anywhere in a command is one error line and
+    exit 2; an old --out FILE stays as it was, with no staged file left."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(target, refuse)
+    assert run(capsys, *argv) == (2, "", "error: refused\n")
+    out = tmp_path / "report.json"
+    out.write_text("old\n")
+    assert run(capsys, *argv, "--out", str(out)) == (2, "", "error: refused\n")
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def _optional(flag: str, values) -> st.SearchStrategy:
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_WEIGHT = st.sampled_from([-4, 0, 1, 2, 4, 9, 15, 16, 25, 36]).map(lambda w: [str(w)])
+_ORDER = st.integers(-2, 400).map(lambda n: [str(n)])
+# with the olps of the weight-16 pairs that survive pruning, so some searches run
+_OLP = st.one_of(
+    st.lists(
+        st.one_of(
+            st.builds("{}^{}".format, st.integers(1, 12), st.integers(1, 4)),
+            st.sampled_from(["", "7", "0^1", "1^0", "^2", "3^", "2^x", "-1^2", "1^1^1", "5 ^2"]),
+        ),
+        max_size=4,
+    ).map(" ".join),
+    st.sampled_from(["5^2", "1^1 5^1", "1^1 3^1 6^1", "6^1", "4^1 6^1", "2^1 4^1"]),
+).map(lambda olp: [olp])
+_MULTIPLIER = _optional("--multiplier", st.integers(-2, 3))
+_FORMAT = _optional("--format", st.sampled_from(["text", "json", "xml"]))
+_ARGV = st.one_of(
+    st.tuples(st.just(["verify"]), st.text("-+0 x", max_size=400).map(lambda r: [r]),
+              _MULTIPLIER, _FORMAT),
+    st.tuples(st.just(["prune"]), _WEIGHT,
+              _optional("--level", st.sampled_from(["existence", "counting", "none"])),
+              _MULTIPLIER, _FORMAT),
+    st.tuples(st.just(["search"]), _ORDER, _WEIGHT, _OLP, _OLP, _MULTIPLIER, _FORMAT),
+    st.tuples(st.just(["rule"]), _WEIGHT, _FORMAT),
+    st.tuples(st.just(["classify"]), _WEIGHT, _optional("--max-n", st.integers(-2, 400)),
+              _FORMAT),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_ARGV)
+def test_every_argv_of_a_bounded_grammar_ends_in_an_exit_code(argv):
+    """Every command line of the grammar returns 0, 1 or 2, or is refused
+    by argparse with SystemExit(2); nothing else escapes main. A 2 is one
+    error line on stderr; a 0 or 1 writes nothing there."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in (0, 1)
+        assert err == ""

@@ -36,7 +36,7 @@ from cwmat import (
 from cwmat.pruning import _pair_lengths, cross_pairs
 from cwmat.rows import _shifts, _weighing, apply_transform
 from cwmat.orbits import (
-    ModulusContext, _orbit_table, _orbits_at, divisors, orbit_count, orbits_of_length, units,
+    ModulusContext, _orbits_at, divisors, orbit_count, orbits_of_length, units,
 )
 from cwmat.search import (
     MAX_ASSIGNMENTS,
@@ -835,31 +835,11 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
         raise AssertionError(f"listed orbits of length {ell} at n={ctx.n}")
 
     monkeypatch.setattr("cwmat.orbits._orbits_at", refuse)
-    # orbit tables that earlier searches cached would hide a listing
-    _orbit_table.cache_clear()
     # 35 has no orbits of length 5 under doubling
     report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
     assert (report.candidates_tested, report.solutions) == (0, ())
     with pytest.raises(AssertionError, match="listed orbits"):
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
-
-
-def _hosted_lengths(n: int) -> set[int]:
-    """The lengths the pairs Z_n hosts at weight 16, t = 2 use."""
-    hosted = _hosted_pairs(16, 2, gcd(n, _host_modulus(16, 2)))
-    return {ell for pair in hosted for ell, _, _ in _pair_lengths(pair)}
-
-
-def test_one_orders_orbit_tables_fit_their_cache():
-    """The pairs the cross-check at n searches use at most 7 lengths at
-    odd n <= 10001, first at n = 3255, and 8 first at n = 55335.
-    _orbit_table keeps 8 entries: the search lists a pair's tables once
-    per (pair, contraction order), as its hits are cached."""
-    lengths = {n: len(_hosted_lengths(n)) for n in range(1, 55336, 2)}
-    assert max(lengths[n] for n in range(1, 10002, 2)) == 7
-    assert min(n for n, count in lengths.items() if count == 7) == 3255
-    assert min(n for n, count in lengths.items() if count == 8) == 55335
-    assert _orbit_table.cache_info().maxsize == 8
 
 
 def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
@@ -889,7 +869,6 @@ def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
         return orbits_of_length(ctx, ell)
 
     monkeypatch.setattr("cwmat.orbits._orbits_at", record)
-    _orbit_table.cache_clear()
     _hits.cache_clear()
     for n in (21, 31, 45, 63, 93, 105, 315, 341):
         full_classification(16, n, cross_check=True)
