@@ -108,9 +108,8 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
 _orbits_at = lru_cache(maxsize=64)(orbits_of_length)
 
 
-def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(the orbits of length ell in Z_n as orbits_of_length lists them, and
-    their masks, bit x for residue x).
+def _orbit_list(n: int, t: int, ell: int) -> list[tuple[int, ...]]:
+    """The orbits of length ell in Z_n as orbits_of_length lists them.
 
     With g = gcd(n, t^ell - 1), x -> (n/g)*x maps Z_g onto the residues of
     Z_n whose orbit length divides ell and commutes with x -> t*x, so the
@@ -122,6 +121,12 @@ def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[
     if g < n:
         m = n // g
         orbits = [tuple([m * x for x in o]) for o in orbits]
+    return orbits
+
+
+def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(_orbit_list(n, t, ell), and their masks, bit x for residue x)."""
+    orbits = _orbit_list(n, t, ell)
     masks = []
     for o in orbits:
         mask = 0

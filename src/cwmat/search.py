@@ -117,7 +117,8 @@ from .multisets import cw_equation_holds
 # tests/test_trace_bindings.py requires them. The candidate test, _weighing,
 # is not a traced layer: its time is the search's.
 from .orbits import (
-    ModulusContext, _orbit_count, _orbit_table, hosting_divisors, orbits_of_length,
+    ModulusContext, _orbit_count, _orbit_list, _orbit_table, hosting_divisors,
+    orbits_of_length,
 )
 from .pruning import (
     OlpPair, _pair_lengths, _record, cross_pairs, describing_set_sizes, feasible_pairs, prune,
@@ -359,7 +360,7 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     first = _scan(spec)
     # the orbits of each length the pair uses, as _levels read them; with no
     # hit (so whenever Z_n cannot host the pair) none is listed
-    orbits = [_orbit_table(n, t, ell)[0] for ell, _, _ in _pair_lengths(pair)] if first else []
+    orbits = [_orbit_list(n, t, ell) for ell, _, _ in _pair_lengths(pair)] if first else []
     # residue -> (position of its orbit's length in the demand, the orbit's index)
     place = {x: (k, i) for k, orbs in enumerate(orbits) for i, o in enumerate(orbs) for x in o}
     classes = []

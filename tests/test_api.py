@@ -3,17 +3,14 @@ test references that must not use them."""
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import cwmat
+from child_process import run_python
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 # Names that only their own tests called; tests that need one as a
 # reference define it locally.
@@ -77,11 +74,7 @@ def test_import_cwmat_loads_no_heavy_module():
         "assert not hasattr(cwmat, 'constructions')\n"
         "assert not hasattr(cwmat, 'no_such_name')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

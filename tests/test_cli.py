@@ -135,6 +135,9 @@ def test_prune_summary_existence_level(capsys):
     code, out, _ = run(capsys, "prune", "16", "--level", "existence")
     assert code == 0
     assert out.rstrip().endswith("41 -> 11 (existence)")
+    code, out, _ = run(capsys, "prune", "36", "--level", "existence")
+    assert code == 0
+    assert out.splitlines()[-1] == "3840 -> 542 (existence)"
 
 
 def test_prune_json_lists_every_pair(capsys):
@@ -338,6 +341,10 @@ def test_prune_other_square_weight_runs(capsys):
     code, out, _ = run(capsys, "prune", "9")
     assert code == 0
     assert "->" in out
+    # t = 3: difference length 1 is possible, so both W = 4 pairs survive
+    code, out, _ = run(capsys, "prune", "4", "--multiplier", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "2 -> 2 (existence) -> 2 (counting)"
 
 
 def test_search_json(capsys):
@@ -466,6 +473,14 @@ def test_classify_orders(capsys):
     assert payload["maxN"] == 35
     assert [(o["n"], o["count"]) for o in payload["orders"]] == [(21, 1), (31, 2)]
     assert all(o["crossChecked"] for o in payload["orders"])
+    # up to 2001 exactly the odd n with 2*[31|n] + [63|n] + [21|n] > 0 are
+    # listed, 78 orders, each with that many classes
+    code, out, _ = run(capsys, "classify", "16", "--max-n", "2001", "--format", "json")
+    assert code == 0
+    counts = [(n, 2 * (n % 31 == 0) + (n % 63 == 0) + (n % 21 == 0)) for n in range(1, 2002, 2)]
+    want = [(n, count) for n, count in counts if count > 0]
+    assert [(o["n"], o["count"]) for o in json.loads(out)["orders"]] == want
+    assert len(want) == 78
 
 
 def test_classify_text(capsys):
@@ -493,7 +508,7 @@ def test_classify_checks_weight_before_any_order(capsys, max_n):
 def test_classify_rejects_max_n_below_one(capsys, max_n):
     code, out, err = run(capsys, "classify", "16", "--max-n", max_n)
     assert code == 2
-    assert f"--max-n must be at least 1, got {max_n}" in err
+    assert err == f"error: --max-n must be at least 1, got {max_n}\n"
     assert out == ""
 
 
@@ -518,10 +533,10 @@ def test_classify_refuses_classes_over_its_character_bound(capsys, monkeypatch, 
 def test_search_rejects_multiplier_below_two(capsys, t):
     # verify refuses such t as search and prune do, rather than reading
     # orbits of a non-multiplier
-    for argv in (("search", "63", "16", "1^10", "1^6"), ("verify", "-++0+00")):
+    for argv in (("search", "63", "16", "1^10", "1^6"), ("verify", "-++0+00"), ("verify", "+")):
         code, out, err = run(capsys, *argv, "--multiplier", t)
         assert code == 2, argv
-        assert f"multiplier base must be at least 2, got {t}" in err
+        assert err == f"error: multiplier base must be at least 2, got {t}\n"
         assert out == ""
 
 

@@ -2,36 +2,16 @@
 from __future__ import annotations
 
 import json
-import os
-import resource
+import random
 import subprocess
 import sys
 import time
-from pathlib import Path
+from collections import deque
 
 import pytest
 
+from child_process import child_env, run_python
 from golden import KNOWN_CW_7_4
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "cwmat", *args],
-        capture_output=True,
-        text=True,
-        env=_env(),
-        timeout=300,
-    )
 
 
 @pytest.mark.parametrize(
@@ -44,7 +24,7 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
     ids=["weighing-row", "non-weighing-row", "usage-error"],
 )
 def test_module_exit_code(args, code):
-    proc = _run_module(*args)
+    proc = run_python("-m", "cwmat", *args)
     assert proc.returncode == code, proc.stderr
 
 
@@ -58,7 +38,7 @@ def test_stdout_closed_by_its_reader_is_an_error_without_traceback(tmp_path, fmt
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=_env(),
+        env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -77,19 +57,10 @@ def test_search_refuses_oversized_orbit_masks_under_an_address_space_cap():
     the assignment bound, but would hold 52388 masks of 2^20 - 1 bits,
     about 6.4 GiB. Under a 1.5 GB address-space cap (ulimit -v 1500000) it
     is refused with exit 2 and the figure, not a MemoryError."""
-    cap = 1_500_000 * 1024
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cwmat", "search", "1048575", "36", "1^1 20^1", "2^1 4^2 5^1"],
-        capture_output=True,
-        text=True,
-        env=_env(),
-        preexec_fn=limit,
-        timeout=60,
+    proc = run_python(
+        "-m", "cwmat", "search", "1048575", "36", "1^1 20^1", "2^1 4^2 5^1",
+        cap_kib=1_500_000, timeout=60,
     )
     assert time.perf_counter() - start < 5.0
     assert proc.returncode == 2, proc.stderr
@@ -106,18 +77,8 @@ def test_classify_refuses_output_over_its_bound_under_an_address_space_cap():
     address-space cap (ulimit -v 1500000) the run is refused with exit 2
     once they pass MAX_CLASSIFY_CHARS = 2^25, at n = 32395, not a
     MemoryError."""
-    cap = 1_500_000 * 1024
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "cwmat", "classify", "16", "--max-n", "200001"],
-        capture_output=True,
-        text=True,
-        env=_env(),
-        preexec_fn=limit,
-        timeout=120,
+    proc = run_python(
+        "-m", "cwmat", "classify", "16", "--max-n", "200001", cap_kib=1_500_000, timeout=120
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
@@ -125,3 +86,41 @@ def test_classify_refuses_output_over_its_bound_under_an_address_space_cap():
         "over the bound of 33554432\n"
     )
     assert proc.stdout == ""
+
+
+def test_prune_64_ends_under_an_address_space_cap(tmp_path):
+    """W = 64: 646225 pairs, each existence verdict kept for reuse across
+    levels. The text run builds no JSON payload; it peaks at about 305 MiB
+    of address space (VmPeak, CPython 3.11), so a 500000 KiB cap (ulimit -v
+    500000) leaves about 60 % headroom and catches a memo or payload that
+    grows with the pair count. Its 58 MB of text go to a file."""
+    out = tmp_path / "prune64.txt"
+    with out.open("w") as fh:
+        proc = run_python("-m", "cwmat", "prune", "64", cap_kib=500_000, stdout=fh)
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as fh:
+        (last,) = deque(fh, maxlen=1)
+    assert last == "646225 -> 42929 (existence) -> 2308 (counting)\n"
+
+
+def _dense_row(n: int) -> str:
+    """A random row of order n, seeded with n, about two thirds nonzero."""
+    rng = random.Random(n)
+    return "".join(rng.choice("-0+") for _ in range(n))
+
+
+@pytest.mark.parametrize(
+    "n, cap_kib, timeout", [(4001, 250_000, 300), (10001, None, 120)], ids=["4001", "10001"]
+)
+def test_verify_of_a_dense_row_ends_within_its_bounds(n, cap_kib, timeout):
+    """A dense random row is no weighing row: exit 1, nothing on stderr.
+
+    At n = 4001 the difference-multiset check keeps one count per lag, so
+    the run needs no MemoryError under a 250000 KiB cap (ulimit -v 250000).
+    At n = 10001 the multiplier readout solves r*s = sum(T) - t*sum(R)
+    (mod n) for each of the 9792 units, leaving gcd(r, n) candidate
+    shifts: it takes 0.40 s, but the command takes about 4 s (2 cores,
+    CPython 3.11.7), 3.5 s of it in the O(k^2) cw_equation_holds; the
+    bound is 120 s."""
+    proc = run_python("-m", "cwmat", "verify", _dense_row(n), cap_kib=cap_kib, timeout=timeout)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -19,7 +19,9 @@ from cwmat import (
     orbits_of_length,
     units,
 )
-from cwmat.orbits import _mobius_terms, _orbit_count, _orbit_table, hosting_divisors
+from cwmat.orbits import (
+    _mobius_terms, _orbit_count, _orbit_list, _orbit_table, hosting_divisors,
+)
 from golden import ORBIT_CAPS_T2, ORBITS_LEN5_MOD31, REQUIRED_DIVISOR_CASES
 from orbit_lister import orbit_lengths, t_orbits
 
@@ -151,8 +153,8 @@ def test_orbit_count_matches_enumeration(n, ell, t):
 def test_gcd_scaled_orbit_tables_match_the_lister(t):
     """Orbits of length ell in Z_n are n/g times those in Z_g, g = gcd(n, t^ell - 1):
     at every n <= 2001 prime to t and every length the weight-16 pairs use,
-    the scaled lists, in order, their masks and the counts from cached Moebius
-    terms and gcd keys equal the lister's."""
+    the scaled lists, in order, alone and with their masks, and the counts
+    from cached Moebius terms and gcd keys equal the lister's."""
     lengths = sorted({ell for pair in feasible_pairs(16, t) for ell, _ in pair.demand})
     assert lengths[-1] >= 6
     for n in range(1, 2002):
@@ -163,7 +165,7 @@ def test_gcd_scaled_orbit_tables_match_the_lister(t):
             listed.setdefault(len(orbit), []).append(orbit)
         for ell in lengths:
             orbits, masks = _orbit_table(n, t, ell)
-            assert orbits == listed.get(ell, []), (n, ell)
+            assert orbits == _orbit_list(n, t, ell) == listed.get(ell, []), (n, ell)
             assert masks == [sum(1 << x for x in orbit) for orbit in orbits], (n, ell)
             assert orbit_count(n, ell, t) == _orbit_count(n, ell, t) == len(orbits), (n, ell)
 

@@ -1,11 +1,7 @@
 from __future__ import annotations
 
 import math
-import os
 import pickle
-import resource
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -51,6 +47,7 @@ from cwmat.pruning import (
     cross_pairs,
 )
 from cwmat.search import MAX_MASK_BITS
+from child_process import run_python
 from golden import (
     COUNTING_SURVIVOR_INDICES,
     EXISTENCE_SURVIVOR_INDICES,
@@ -60,8 +57,6 @@ from golden import (
     PARTITIONS_OF_6,
 )
 from orbit_lister import orbit_lengths, t_orbits
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _caps(size: int, t: int) -> list[int]:
@@ -129,19 +124,18 @@ def test_olp_from_string_refuses_more_parts_than_its_bound():
 
 def test_olp_from_string_refuses_before_expanding_under_an_address_space_cap():
     """'1^100000000' stands for 10^8 parts, more than 500 MB can hold: under
-    that cap (ulimit -v 500000) it is refused at once, not a MemoryError."""
-    cap = 500_000 * 1024
+    that cap (ulimit -v 500000) it is refused at once, not a MemoryError.
+    `cwmat search` reads the sums off the tokens first and refuses them."""
     code = "from cwmat import Olp\ntry: Olp.from_string('1^100000000')\nexcept ValueError as e: print(e)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
+    proc = run_python("-c", code, cap_kib=500_000, timeout=60)
     assert time.perf_counter() - start < 5.0
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"100000000 olp parts exceed the bound of {MAX_OLP_PARTS}\n"
+    argv = ("search", "31", "16", "1^100000000", "1^6")
+    proc = run_python("-m", "cwmat", *argv, cap_kib=500_000, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: olp sums must be (10, 6) for weight 16, got (100000000, 6)\n"
 
 
 def test_olp_takes_numpy_integer_parts():
@@ -792,11 +786,7 @@ def test_prune_of_long_orbits_runs_in_bounded_memory():
         "with open('/proc/self/status') as status:\n"
         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     verdict, peak_kib = proc.stdout.splitlines()
     assert verdict == "rejected cross (40000,39999) forces length in {1599960000}"

@@ -36,7 +36,7 @@ from cwmat import (
 from cwmat.pruning import _pair_lengths, cross_pairs
 from cwmat.rows import _shifts, _weighing, apply_transform
 from cwmat.orbits import (
-    ModulusContext, _orbits_at, divisors, orbit_count, orbits_of_length, units,
+    ModulusContext, _orbit_table, _orbits_at, divisors, orbit_count, orbits_of_length, units,
 )
 from cwmat.search import (
     MAX_ASSIGNMENTS,
@@ -53,6 +53,7 @@ from cwmat.search import (
     _search_all_pairs,
     classify,
 )
+from child_process import run_python
 from golden import (
     BASE_ORDER_CASES,
     BASE_SEARCH_COUNTS,
@@ -842,6 +843,22 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
 
 
+def test_the_search_builds_orbit_masks_only_at_the_contraction_order(monkeypatch):
+    """At n = 93 the pair's contraction order is 31: the assignments read
+    the masks there, and exhaustive_search lists the orbits at 93 without
+    masks."""
+    built = []
+
+    def table(n, t, ell):
+        built.append((n, ell))
+        return _orbit_table(n, t, ell)
+
+    monkeypatch.setattr("cwmat.search._orbit_table", table)
+    _hits.cache_clear()
+    assert len(exhaustive_search(_spec(93, "5^2", "1^1 5^1")).classes) == 2
+    assert built == [(31, 1), (31, 5)]
+
+
 def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
     """Over every g | M the cross-check and the rule request 19 distinct
     (Z_g, ell) orbit lists, within _orbits_at's 64 entries; the lists that
@@ -1112,6 +1129,19 @@ def test_full_classification_refuses_classes_over_its_character_bound(monkeypatc
     ):
         full_classification(16, 420000021, cross_check=False)
     monkeypatch.undo()
+    # and in a child under a 1.5 GB address-space cap (ulimit -v 1500000):
+    # the refusal, not a MemoryError
+    code = (
+        "from cwmat import full_classification\n"
+        "try: full_classification(16, 420000021, cross_check=False)\n"
+        "except ValueError as e: print(e)"
+    )
+    proc = run_python("-c", code, cap_kib=1_500_000, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "the 2 classes at n=420000021 hold 840000042 sign characters, "
+        "over the bound of 33554432\n"
+    )
     # two classes of 31 entries fit a bound of 62, those of 93 do not
     monkeypatch.setattr("cwmat.search.MAX_CLASSIFY_CHARS", 62)
     assert full_classification(16, 31).count == 2
