@@ -307,17 +307,20 @@ def cmd_classify(args) -> int:
     check_classified_weight(args.weight)
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    results, chars = [], 0
+    # the classes at n number the sum of the rule's c_b over the b dividing n,
+    # so their sign characters are counted before any order is classified
+    terms = classification_rule(args.weight, CLASSIFIED_MULTIPLIER)
+    chars = 0
     for n in range(1, args.max_n + 1, 2):
-        res = full_classification(args.weight, n)
-        if res.count:
-            chars += res.count * n
-            if chars > MAX_CLASSIFY_CHARS:
-                raise ValueError(
-                    f"the classes at odd n <= {n} hold {chars} sign characters, "
-                    f"over the bound of {MAX_CLASSIFY_CHARS}"
-                )
-            results.append(res)
+        chars += n * sum(c for b, c in terms if n % b == 0)
+        if chars > MAX_CLASSIFY_CHARS:
+            raise ValueError(
+                f"the classes at odd n <= {n} hold {chars} sign characters, "
+                f"over the bound of {MAX_CLASSIFY_CHARS}"
+            )
+    results = [
+        res for n in range(1, args.max_n + 1, 2) if (res := full_classification(args.weight, n)).count
+    ]
 
     payload = {
         "weight": args.weight,

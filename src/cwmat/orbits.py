@@ -103,39 +103,6 @@ def orbits_of_length(ctx: ModulusContext, i: int) -> list[tuple[int, ...]]:
     return out
 
 
-# orbits_of_length once per (Z_g, ell); read only. Over every order, the
-# weight-16, t = 2 cross-check and rule request 19 distinct lists.
-_orbits_at = lru_cache(maxsize=64)(orbits_of_length)
-
-
-def _orbit_list(n: int, t: int, ell: int) -> list[tuple[int, ...]]:
-    """The orbits of length ell in Z_n as orbits_of_length lists them.
-
-    With g = gcd(n, t^ell - 1), x -> (n/g)*x maps Z_g onto the residues of
-    Z_n whose orbit length divides ell and commutes with x -> t*x, so the
-    orbits of length ell in Z_n are n/g times those in Z_g, in the same
-    order, each still listed from its least element.
-    """
-    g = gcd(n, pow(t, ell, n) - 1)
-    orbits = _orbits_at(ModulusContext(g, t), ell)
-    if g < n:
-        m = n // g
-        orbits = [tuple([m * x for x in o]) for o in orbits]
-    return orbits
-
-
-def _orbit_table(n: int, t: int, ell: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(_orbit_list(n, t, ell), and their masks, bit x for residue x)."""
-    orbits = _orbit_list(n, t, ell)
-    masks = []
-    for o in orbits:
-        mask = 0
-        for x in o:
-            mask |= 1 << x
-        masks.append(mask)
-    return orbits, masks
-
-
 @lru_cache(maxsize=None)
 def _mobius_terms(ell: int) -> tuple[tuple[int, int], ...]:
     """(e, mu(ell/e)) for each divisor e of ell with mu(ell/e) != 0, by e,

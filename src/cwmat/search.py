@@ -28,9 +28,8 @@ x -> (n/g)*x maps Z_g one to one onto the residues of Z_n whose orbit
 length divides ell (those with (t^ell - 1)*x = 0) and commutes with
 x -> t*x, so Z_n and Z_g have the same orbits of length ell, up to the
 factor n/g, which keeps their order. A count is thus found once per
-(g, ell), an orbit list is listed once per (g, ell) and scaled to each n,
-and the orbit masks are built once per (pair, G), G the pair's
-contraction order (below). An order at which no pair is hosted and the
+(g, ell), and the orbits are listed, with their masks, at the pair's
+contraction order G (below). An order at which no pair is hosted and the
 rule predicts no class builds no search at all.
 
 A pair is searched once per contraction order G, the lcm of
@@ -98,8 +97,8 @@ covers every assignment: exhaustive_search reports assignment_count as
 tested. Its solutions are derived from the classes: they are the images
 x -> u*x + s of one solution per class that t fixes, the first hit, whose
 row the scan built and the derivation reuses. Every tested
-assignment goes through the kernel and the equation check; the derived
-solutions, images of checked rows, need neither.
+assignment goes through the kernel, and every hit through the equation
+check; the derived solutions, images of checked rows, need neither.
 """
 from __future__ import annotations
 
@@ -111,15 +110,11 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .multisets import cw_equation_holds
-# orbits_of_length, cross_pairs, apply_transform, verify_cw and are_equivalent
-# are not called here but stay bound: the benchmark's tracer
-# (perfbench/tracer.py) wraps them in this module, and
-# tests/test_trace_bindings.py requires them. The candidate test, _weighing,
-# is not a traced layer: its time is the search's.
-from .orbits import (
-    ModulusContext, _orbit_count, _orbit_list, _orbit_table, hosting_divisors,
-    orbits_of_length,
-)
+# cross_pairs, apply_transform, verify_cw and are_equivalent are not called
+# here but stay bound: the benchmark's tracer (perfbench/tracer.py) wraps them
+# in this module, and tests/test_trace_bindings.py requires them. The
+# candidate test, _weighing, is not a traced layer: its time is the search's.
+from .orbits import ModulusContext, _orbit_count, hosting_divisors, orbits_of_length
 from .pruning import (
     OlpPair, _pair_lengths, _record, cross_pairs, describing_set_sizes, feasible_pairs, prune,
     survivors,
@@ -201,18 +196,11 @@ class SearchSpec(namedtuple("SearchSpec", "n weight t pair")):
         of C(c, p) * C(c - p, q) = C(c, p + q) * C(p + q, p), with c orbits
         of length ell in Z_n and p, q parts of that length in P and N.
         It is 0 exactly when Z_n cannot host the pair."""
-        return _assignment_count(self)
-
-
-# The spec, its scan and exhaustive_search each read the count; a search
-# builds its spec just before it runs, so a small cache finds it once.
-@lru_cache(maxsize=256)
-def _assignment_count(spec: SearchSpec) -> int:
-    n, _, t, pair = spec
-    count = 1
-    for ell, p, q in _pair_lengths(pair):
-        count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
-    return count
+        n, _, t, pair = self
+        count = 1
+        for ell, p, q in _pair_lengths(pair):
+            count *= comb(_orbit_count(n, ell, t), p + q) * comb(p + q, p)
+        return count
 
 
 class EquivalenceClass(NamedTuple):
@@ -233,17 +221,27 @@ class SearchReport(NamedTuple):
     classes: tuple[EquivalenceClass, ...]
 
 
-def _levels(spec: SearchSpec) -> list:
-    """Per length the pair uses, ascending: [the orbits of that length, their
-    masks, parts of that length in P, parts in N, the indices of the lead
-    orbits or None].
+# One entry per (order, t, ell) the search reads: G in _levels, n in
+# exhaustive_search; read only.
+@lru_cache(maxsize=64)
+def _orbits(n: int, t: int, ell: int) -> list[tuple[int, ...]]:
+    """The orbits of length ell in Z_n, listed once per (n, t, ell)."""
+    return orbits_of_length(ModulusContext(n, t), ell)
+
+
+def _levels(n: int, t: int, pair: OlpPair) -> list:
+    """Per length the pair uses, ascending: [the orbits of that length in
+    Z_n, their masks, parts of that length in P, parts in N, the indices of
+    the lead orbits or None].
 
     Only the P length with the most orbits has leads, the orbits whose
     least element divides n ({0} stands for n); every U(n)-orbit of
     assignments keeps a member that holds one (see the module docstring).
     """
-    n, _, t, pair = spec
-    levels = [[*_orbit_table(n, t, ell), p, q, None] for ell, p, q in _pair_lengths(pair)]
+    levels = []
+    for ell, p, q in _pair_lengths(pair):
+        orbits = _orbits(n, t, ell)
+        levels.append([orbits, [sum(1 << x for x in o) for o in orbits], p, q, None])
     # P holds parts whenever the pair uses a length, so a P length is pinned
     pinned = max(levels, key=lambda level: (level[2] > 0, len(level[0])), default=None)
     if pinned:
@@ -293,14 +291,13 @@ def _scan(spec: SearchSpec) -> dict[CirculantRow, tuple]:
     the module docstring); each is lifted by n/G, built into a row at n
     and canonicalized there.
     """
-    n, t = spec.n, spec.t
+    n, _, t, pair = spec
     if spec.assignment_count == 0:
         return {}
-    G = lcm(*(gcd(n, pow(t, ell, n) - 1) for ell, _, _ in _pair_lengths(spec.pair)))
+    G = lcm(*(gcd(n, pow(t, ell, n) - 1) for ell, _, _ in _pair_lengths(pair)))
     m = n // G
     first: dict[CirculantRow, tuple] = {}
-    # _replace skips SearchSpec's checks, which the spec at n has passed
-    for P, N in _hits(spec._replace(n=G)):
+    for P, N in _hits(pair, t, G):
         if m > 1:
             P, N = tuple([m * x for x in P]), tuple([m * x for x in N])
         row = from_sets(n, P, N)
@@ -308,34 +305,34 @@ def _scan(spec: SearchSpec) -> dict[CirculantRow, tuple]:
     return first
 
 
-# One entry per (pair, G): G divides the lcm of t^ell - 1 over the pair's
-# lengths, so a pair has finitely many; an entry holds only its hits.
+# One entry per (pair, t, G): G divides the lcm of t^ell - 1 over the pair's
+# lengths, so a pair has finitely many; an entry holds only its hits. The
+# pair's sums fix the weight.
 @lru_cache(maxsize=None)
-def _hits(spec: SearchSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _hits(pair: OlpPair, t: int, G: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The first hit (P, N) of each unit-image class, in the order of the
-    assignments, of a pair that Z_n hosts, where n = spec.n is the pair's
-    contraction order G; found once per spec.
+    assignments, of a pair that Z_G hosts, G the pair's contraction order;
+    found once per (pair, t, G).
 
     Every tested assignment goes through the kernel, and every hit through
-    the difference-multiset equation: RuntimeError, naming this n, if the
-    two disagree. A hit is kept only if no earlier kept hit's unit images
-    hold it.
+    the difference-multiset equation: RuntimeError, naming G, if the two
+    disagree. A hit is kept only if no earlier kept hit's unit images hold
+    it.
     """
-    n, t = spec.n, spec.t
     images: set[tuple[int, int]] = set()  # masks of each row(x^u) of a kept hit
     hits = []
-    for pm, nm, P, N in _assignments(_levels(spec)):
-        if not _weighing(n, P + N, pm, nm, t):
+    for pm, nm, P, N in _assignments(_levels(G, t, pair)):
+        if not _weighing(G, P + N, pm, nm, t):
             continue
-        if not cw_equation_holds(P, N, n):
+        if not cw_equation_holds(P, N, G):
             raise RuntimeError(
                 f"autocorrelation and the difference-multiset equation disagree "
-                f"at n={n} on {from_sets(n, P, N).to_string()}"
+                f"at n={G} on {from_sets(G, P, N).to_string()}"
             )
         if (pm, nm) not in images:
             hits.append((P, N))
-            for u in _coset_leaders(n, t):
-                images.add((sum(1 << (u * i % n) for i in P), sum(1 << (u * i % n) for i in N)))
+            for u in _coset_leaders(G, t):
+                images.add((sum(1 << (u * i % G) for i in P), sum(1 << (u * i % G) for i in N)))
     return tuple(hits)
 
 
@@ -358,9 +355,9 @@ def exhaustive_search(spec: SearchSpec) -> SearchReport:
     """
     n, _, t, pair = spec
     first = _scan(spec)
-    # the orbits of each length the pair uses, as _levels read them; with no
-    # hit (so whenever Z_n cannot host the pair) none is listed
-    orbits = [_orbit_list(n, t, ell) for ell, _, _ in _pair_lengths(pair)] if first else []
+    # the orbits in Z_n of each length the pair uses; with no hit (so
+    # whenever Z_n cannot host the pair) none is listed
+    orbits = [_orbits(n, t, ell) for ell, _, _ in _pair_lengths(pair)] if first else []
     # residue -> (position of its orbit's length in the demand, the orbit's index)
     place = {x: (k, i) for k, orbs in enumerate(orbits) for i, o in enumerate(orbs) for x in o}
     classes = []

@@ -73,13 +73,17 @@ def test_search_refuses_oversized_orbit_masks_under_an_address_space_cap():
 
 def test_classify_refuses_output_over_its_bound_under_an_address_space_cap():
     """The classes at odd n <= 200001 would hold about 1.28e9 sign
-    characters, and each is held as a coefficient first: under a 1.5 GB
-    address-space cap (ulimit -v 1500000) the run is refused with exit 2
-    once they pass MAX_CLASSIFY_CHARS = 2^25, at n = 32395, not a
-    MemoryError."""
+    characters, and each is held as a coefficient first. The rule's terms
+    count them before any order is classified, so the run is refused with
+    exit 2 once they pass MAX_CLASSIFY_CHARS = 2^25, at n = 32395, in about
+    0.1 s at 15 MiB (2 cores, CPython 3.11.7). Classifying up to 32395
+    first took 0.9 s and 337 MiB, and under this 100000 KiB address-space
+    cap (ulimit -v 100000) it ends in a MemoryError."""
+    start = time.perf_counter()
     proc = run_python(
-        "-m", "cwmat", "classify", "16", "--max-n", "200001", cap_kib=1_500_000, timeout=120
+        "-m", "cwmat", "classify", "16", "--max-n", "200001", cap_kib=100_000, timeout=60
     )
+    assert time.perf_counter() - start < 0.5
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
         "error: the classes at odd n <= 32395 hold 33603146 sign characters, "

@@ -35,19 +35,17 @@ from cwmat import (
 )
 from cwmat.pruning import _pair_lengths, cross_pairs
 from cwmat.rows import _shifts, _weighing, apply_transform
-from cwmat.orbits import (
-    ModulusContext, _orbit_table, _orbits_at, divisors, orbit_count, orbits_of_length, units,
-)
+from cwmat.orbits import ModulusContext, divisors, orbit_count, orbits_of_length, units
 from cwmat.search import (
     MAX_ASSIGNMENTS,
     MAX_MASK_BITS,
-    _assignment_count,
     _assignments,
     _class_representatives,
     _hits,
     _host_modulus,
     _hosted_pairs,
     _levels,
+    _orbits,
     _rule_bases,
     _rule_pairs,
     _search_all_pairs,
@@ -99,7 +97,7 @@ def _oracle(spec: SearchSpec) -> search_oracle.OracleReport:
 
 def _filtered(spec: SearchSpec):
     """The library's assignments of the spec: one per unit class."""
-    return _assignments(_levels(spec))
+    return _assignments(_levels(spec.n, spec.t, spec.pair))
 
 
 def test_search_spec_validates():
@@ -167,19 +165,6 @@ def test_assignment_count_is_computed_once(monkeypatch):
     spec = _spec(63, "1^1 3^1 6^1", "6^1")
     assert exhaustive_search(spec).candidates_tested == spec.assignment_count
     assert sorted(calls) == [(1, 1), (7, 3), (63, 6)]
-
-
-def test_assignment_count_is_found_once_per_search():
-    """The spec's bound, the scan and exhaustive_search each read the count;
-    it is found once per spec, and once per search of a classification."""
-    _assignment_count.cache_clear()
-    spec = _spec(63, "1^1 3^1 6^1", "6^1")
-    assert exhaustive_search(spec).candidates_tested == 144
-    assert _assignment_count.cache_info().misses == 1
-    _assignment_count.cache_clear()
-    _search_all_pairs(63, 16)
-    info = _assignment_count.cache_info()
-    assert info.misses == info.hits > 0
 
 
 @pytest.mark.parametrize(
@@ -570,16 +555,16 @@ def test_classifications_enumerate_a_pair_once_per_contraction_order(monkeypatch
     pair = _pair("5^2", "1^1 5^1")
     enumerated = []
 
-    def recorded(spec):
-        enumerated.append(spec)
-        return _levels(spec)
+    def recorded(n, t, searched):
+        enumerated.append((n, searched))
+        return _levels(n, t, searched)
 
     monkeypatch.setattr("cwmat.search._levels", recorded)
     _hits.cache_clear()
     for n in (31, 93, 155, 279, 341):
         result = full_classification(16, n, cross_check=True)
         assert (result.count, result.cross_checked) == (2, True)
-    assert [spec.n for spec in enumerated if spec.pair == pair] == [31]
+    assert [n for n, searched in enumerated if searched == pair] == [31]
 
 
 @pytest.mark.parametrize(
@@ -803,6 +788,10 @@ def test_search_all_pairs_refuses_a_multiplier_that_is_not_a_unit(n, weight, t):
 
 
 def test_search_all_pairs_builds_a_context_only_to_refuse(monkeypatch):
+    """No order is validated by building its context; only the orbit lister
+    builds one, once per (G, t, ell), so the first search warms it."""
+    assert len(_search_all_pairs(63, 16)) == 2
+
     def refuse(n, t):
         raise AssertionError(f"built ModulusContext({n}, {t})")
 
@@ -835,7 +824,8 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
     def refuse(ctx, ell):
         raise AssertionError(f"listed orbits of length {ell} at n={ctx.n}")
 
-    monkeypatch.setattr("cwmat.orbits._orbits_at", refuse)
+    monkeypatch.setattr("cwmat.search.orbits_of_length", refuse)
+    _orbits.cache_clear()
     # 35 has no orbits of length 5 under doubling
     report = exhaustive_search(_spec(35, "5^2", "1^1 5^1"))
     assert (report.candidates_tested, report.solutions) == (0, ())
@@ -843,53 +833,82 @@ def test_assignments_list_no_orbit_for_a_pair_z_n_cannot_host(monkeypatch):
         exhaustive_search(_spec(31, "5^2", "1^1 5^1"))
 
 
+def _record_listings(monkeypatch) -> list[tuple[int, int]]:
+    """(n, ell) of each orbit list that the search lists through
+    cwmat.search.orbits_of_length, the binding the benchmark's tracer wraps,
+    from empty orbit and hit caches."""
+    listed = []
+
+    def record(ctx, ell):
+        listed.append((ctx.n, ell))
+        return orbits_of_length(ctx, ell)
+
+    monkeypatch.setattr("cwmat.search.orbits_of_length", record)
+    _orbits.cache_clear()
+    _hits.cache_clear()
+    return listed
+
+
 def test_the_search_builds_orbit_masks_only_at_the_contraction_order(monkeypatch):
     """At n = 93 the pair's contraction order is 31: the assignments read
-    the masks there, and exhaustive_search lists the orbits at 93 without
-    masks."""
-    built = []
+    the orbits and their masks there, and exhaustive_search lists the orbits
+    at 93 without masks."""
+    listed = _record_listings(monkeypatch)
+    masked = []
 
-    def table(n, t, ell):
-        built.append((n, ell))
-        return _orbit_table(n, t, ell)
+    def levels(n, t, pair):
+        masked.append(n)
+        return _levels(n, t, pair)
 
-    monkeypatch.setattr("cwmat.search._orbit_table", table)
-    _hits.cache_clear()
+    monkeypatch.setattr("cwmat.search._levels", levels)
     assert len(exhaustive_search(_spec(93, "5^2", "1^1 5^1")).classes) == 2
-    assert built == [(31, 1), (31, 5)]
+    assert masked == [31]
+    assert listed == [(31, 1), (31, 5), (93, 1), (93, 5)]
+
+
+def test_a_cross_check_lists_its_orbits_through_the_traced_binding(monkeypatch):
+    """A cross-checked classification lists the orbits of each length a
+    searched pair uses once, through cwmat.search.orbits_of_length, at the
+    pair's contraction order: that of every pair Z_n hosts, and those of
+    the rule's searches at the base orders when they are not yet cached."""
+    n = 93
+    cross = {
+        (_contraction_order(spec), ell)
+        for spec in _hosted_specs(16, 2, [n])
+        if spec.assignment_count
+        for ell, _, _ in _pair_lengths(spec.pair)
+    }
+    rule = {
+        (_contraction_order(SearchSpec(lcm(*dividing), 16, 2, pair)), ell)
+        for pair, orders in _rule_pairs(16, 2)
+        if (dividing := [b for b in orders if n % b == 0])
+        for ell, _, _ in _pair_lengths(pair)
+    }
+    listed = _record_listings(monkeypatch)
+    assert full_classification(16, n, cross_check=True).count == 2
+    assert listed and len(listed) == len(set(listed))
+    assert cross <= set(listed) <= cross | rule
+    assert any(G < n for G, _ in cross)
 
 
 def test_the_orbit_lists_requested_fit_their_cache(monkeypatch):
-    """Over every g | M the cross-check and the rule request 19 distinct
-    (Z_g, ell) orbit lists, within _orbits_at's 64 entries; the lists that
-    cross-checked classifications request are among them. An order n
-    enters only through g = gcd(n, M), and a search at n lists the
-    lengths ell of its pair at gcd(n, 2^ell - 1)."""
-    requested = set()
+    """Over the cross-check of every odd n <= 2001, _orbits at its maxsize
+    lists no orbit list twice: it misses once per distinct (G, t, ell), as
+    an unbounded cache would."""
+    requests = []
 
-    def search(n, pair):
-        requested.update((gcd(n, 2**ell - 1), ell) for ell, _, _ in _pair_lengths(pair))
+    def record(n, t, ell):
+        requests.append((n, t, ell))
+        return _orbits(n, t, ell)
 
-    for g in divisors(_host_modulus(16, 2)):
-        for pair in _hosted_pairs(16, 2, g):
-            search(g, pair)
-        for pair, orders in _rule_pairs(16, 2):
-            dividing = [b for b in orders if g % b == 0]
-            if dividing:
-                search(lcm(*dividing), pair)
-    assert len(requested) == 19
-    assert _orbits_at.cache_info().maxsize == 64
-    seen = set()
-
-    def record(ctx, ell):
-        seen.add((ctx.n, ell))
-        return orbits_of_length(ctx, ell)
-
-    monkeypatch.setattr("cwmat.orbits._orbits_at", record)
+    monkeypatch.setattr("cwmat.search._orbits", record)
+    _orbits.cache_clear()
     _hits.cache_clear()
-    for n in (21, 31, 45, 63, 93, 105, 315, 341):
+    for n in range(1, 2002, 2):
         full_classification(16, n, cross_check=True)
-    assert seen and seen <= requested
+    info = _orbits.cache_info()
+    assert info.maxsize is not None
+    assert info.misses == len(set(requests)) > 0
 
 
 def test_classify_groups_by_equivalence():
